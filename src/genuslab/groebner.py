@@ -3,10 +3,10 @@
 Plain Buchberger with normal selection (lowest S-pair degree first) and two
 classical pair filters: the coprime-lead filter, only in rank-one ambients
 where it is actually valid, and the chain filter on lcm divisibility.  No
-signature-based shortcuts.  Because every element is homogeneous, pairs can
-be processed degree by degree; a run truncated after all pairs of degree <= D
-has found every basis element of degree <= D, which is what the adaptive
-length counting below relies on.
+signature-based shortcuts.  Because every element is homogeneous, pairs are
+processed degree by degree, lowest first.  The engine works for any module
+order the ambient's term_key defines: degrevlex, the elimination block order,
+or the tangent-cone order used for length tables.
 
 Kernel computations (syzygies, colons, intersections, presentations of
 subquotients) all reduce to one primitive: the kernel of a map from a free
@@ -19,7 +19,7 @@ import heapq
 
 import numpy as np
 
-from .errors import CrossCheckFailure, InfiniteLength
+from .errors import CrossCheckFailure, InfiniteLength, PreconditionViolation
 from .ring import (FreeElement, FreeModule, mono_deg, mono_div, mono_divides,
                    mono_lcm)
 
@@ -471,7 +471,8 @@ def quotient_dimension(basis: SubmoduleBasis):
     -inf for the zero quotient."""
     n = basis.ambient.ring.nvars
     if n > 16:
-        raise ValueError("dimension combinatorics capped at 16 variables")
+        raise PreconditionViolation(
+            "dimension combinatorics capped at 16 variables")
     leads = basis.leads_by_position()
     best = NEG_INF
     for pos in range(basis.ambient.rank):

@@ -17,16 +17,16 @@ from dataclasses import dataclass, field
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, ZeroModule)
-from .groebner import (NEG_INF, BuchbergerState, groebner_basis,
-                       quotient_dimension, quotient_total_length)
+from .groebner import (NEG_INF, groebner_basis, quotient_dimension,
+                       quotient_total_length)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       complete_to_invertible, ideal_power, invert_matrix,
                       linear_coefficients, present_subquotient,
                       submodule_colon, submodule_intersect, substitute_element,
                       substitute_linear)
-from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_divides,
-                   poly_in_position)
+from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_deg,
+                   mono_divides, poly_in_position)
 
 SUPERFICIAL_C_MAX = 3
 SUPERFICIAL_WINDOW = 2
@@ -129,47 +129,17 @@ def _series_cumulative(num: dict, n: int, top: int) -> int:
     return sum(c * binomial(top - j + n, n) for j, c in num.items() if j <= top)
 
 
-def _count_outside(leads, n: int, d: int) -> int:
-    """Monomials of degree d in n variables outside the monomial ideal
-    generated by leads.  Depth-first over the variables, closing the branch
-    by a binomial count as soon as no generator constrains it."""
-    if d < 0:
-        return 0
-    live = [e for e in leads if mono_deg(e) <= d]
-
-    def rec(i, rem, lds):
-        for e in lds:
-            if not any(e[i:]):
-                return 0  # a generator is fully satisfied on this branch
-        if not lds:
-            left = n - i
-            if left == 0:
-                return 1 if rem == 0 else 0
-            return binomial(rem + left - 1, left - 1)
-        if i == n - 1:
-            return 0 if any(e[i] <= rem for e in lds) else 1
-        total = 0
-        for a in range(rem + 1):
-            total += rec(i + 1, rem - a, [e for e in lds if e[i] <= a])
-        return total
-
-    return rec(0, d, live)
-
-
-def _block_exponents(nvars: int, block: int, deg: int):
-    """Exponent tuples of total degree deg supported on the first block
-    variables."""
-    def rec(rest, left):
-        if rest == 1:
-            yield (left,)
-            return
-        for head in range(left + 1):
-            for tail in rec(rest - 1, left - head):
-                yield (head,) + tail
-
-    pad = (0,) * (nvars - block)
-    for head in rec(block, deg):
-        yield head + pad
+def _twisted_series(basis) -> dict:
+    """Numerator over (1-t)^nvars of the Hilbert series of ambient/basis:
+    the per-position numerators of the lead monomials, shifted by the
+    twists and summed."""
+    n = basis.ambient.ring.nvars
+    leads = basis.leads_by_position()
+    out = {}
+    for pos, twist in enumerate(basis.ambient.twists):
+        for j, c in _hilbert_numerator(tuple(leads.get(pos, ())), n).items():
+            out[j + twist] = out.get(j + twist, 0) + c
+    return {j: c for j, c in out.items() if c}
 
 
 # -- the length table ---------------------------------------------------------
@@ -178,12 +148,17 @@ class _TableEngine:
     """Produces ℓ(M/Q^{n+1}M) for one module and one generating set.
 
     Two routes.  When every generator is linear, an exact coordinate change
-    moves the ideal onto a block of variables; each length then splits into
-    a closed-form head (degrees the power block cannot reach, summed from
-    the Hilbert numerator of the transformed relations) and a finite tail
-    counted from a degree-truncated basis.  Otherwise ideal powers are
-    expanded directly.  The route is an optimization only, and the n = 0
-    value of the fast route is cross-checked against the direct quotient.
+    moves the ideal onto the first block of variables x, and one basis of the
+    transformed relations is computed in the tangent-cone order (see
+    FreeModule.tangent_block).  Its leads span the initial module of
+    gr_Q(M), so ℓ(M/Q^{n+1}M) is the number of standard monomials of
+    x-degree at most n.  Each x-degree slice is counted once: for every
+    x-monomial u of that degree, the finitely many monomials in the other
+    variables that stay outside the colon of the leads by u.  Every length
+    is then a prefix sum of slices.  Otherwise ideal powers are expanded
+    directly.  The route is an optimization only: the transformed basis must
+    have the Hilbert series of the original relations, and the n = 0 value
+    of the fast route is cross-checked against the direct quotient.
     """
 
     def __init__(self, module: GradedModule, gens):
@@ -231,46 +206,52 @@ class _TableEngine:
             if any(e[j] for e in img.terms for j in range(self.block, nv)):
                 raise CrossCheckFailure(
                     "coordinate change left a generator outside the block")
-        F = self.module.ambient
-        moved = [substitute_element(g, self.change)
+        F = FreeModule(ring, self.module.twists, tangent_block=self.block)
+        moved = [FreeElement(F, substitute_element(g, self.change).terms,
+                             _checked=True)
                  for g in self.module.relations.gb]
         self.basis_t = groebner_basis(F, moved)
+        if (_twisted_series(self.basis_t)
+                != _twisted_series(self.module.relations)):
+            raise CrossCheckFailure(
+                "tangent-cone basis changed the Hilbert series")
+        b = self.block
         leads = self.basis_t.leads_by_position()
-        self.nums = {pos: _hilbert_numerator(tuple(leads.get(pos, ())), nv)
-                     for pos in range(F.rank)}
+        # per position, each lead split into its block and non-block parts
+        self._split = [[(e[:b], e[b:]) for e in leads.get(pos, ())]
+                       for pos in range(F.rank)]
+        self._x_monomials = PolyRing(ring.variables[:b], p).monomials_of_degree
+        self._outside = {}
+        self._cumulative = []
+
+    def _outside_count(self, colon: tuple) -> int:
+        """Monomials in the non-block variables outside the monomial ideal
+        generated by colon, which must have finite colength."""
+        got = self._outside.get(colon)
+        if got is None:
+            m = self.module.algebra.ring.nvars - self.block
+            num = _hilbert_numerator(colon, m)
+            top = max(num, default=-1)
+            if _series_value(num, m, top + 1):
+                raise CrossCheckFailure(
+                    "a tangent-cone slice has infinite length")
+            got = self._outside[colon] = _series_cumulative(num, m, top)
+        return got
+
+    def _slice(self, k: int) -> int:
+        """Standard monomials of block degree exactly k."""
+        total = 0
+        for u in self._x_monomials(k):
+            for split in self._split:
+                total += self._outside_count(
+                    tuple(y for x, y in split if mono_divides(x, u)))
+        return total
 
     def _linear_value(self, n: int) -> int:
-        F = self.module.ambient
-        nv = F.ring.nvars
-        tw = F.twists
-        lo, hi = min(tw), max(tw)
-        head_top = n + lo
-        head = sum(_series_cumulative(self.nums[pos], nv, head_top - tw[pos])
-                   for pos in range(F.rank))
-        powers = [FreeElement(F, {(pos, e): 1}, _checked=True)
-                  for e in _block_exponents(nv, self.block, n + 1)
-                  for pos in range(F.rank)]
-        state = BuchbergerState(F, list(self.basis_t.gb) + powers,
-                                assume_reduced_prefix=len(self.basis_t.gb))
-        tail = 0
-        t = head_top + 1
-        while True:
-            if t > head_top + 250:
-                raise CrossCheckFailure("length scan did not terminate")
-            state.process(until=t)
-            leads = state.leads_by_position()
-            count = 0
-            for pos in range(F.rank):
-                lds = leads.get(pos, ())
-                base = [e for e in lds if mono_deg(e) <= n]
-                kept = [e for e in lds
-                        if mono_deg(e) > n
-                        and not any(mono_divides(b, e) for b in base)]
-                count += _count_outside(base + kept, nv, t - tw[pos])
-            if count == 0 and t >= hi:
-                return head + tail
-            tail += count
-            t += 1
+        cum = self._cumulative
+        while len(cum) <= n:
+            cum.append((cum[-1] if cum else 0) + self._slice(len(cum)))
+        return cum[n]
 
     def _direct_value(self, n: int) -> int:
         if not self.gens:

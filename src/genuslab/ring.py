@@ -308,11 +308,18 @@ class FreeModule:
     elim_rank > 0 turns on the block order used for kernel computations: terms
     in positions < elim_rank dominate every term in the tail block, each block
     internally ordered term-over-position degrevlex.
+
+    tangent_block = b > 0 turns on the tangent-cone order used for length
+    tables along (x_1..x_b): twisted degree first, then the smaller degree in
+    the first b variables wins, then term-over-position degrevlex.  On a
+    homogeneous element the lead is thus taken from its lowest-order form in
+    the (x_1..x_b)-adic filtration.  It ignores elim_rank.
     """
 
     ring: PolyRing
     twists: tuple
     elim_rank: int = 0
+    tangent_block: int = 0
 
     @property
     def rank(self) -> int:
@@ -320,12 +327,20 @@ class FreeModule:
 
     def term_key(self, t: Term):
         pos, e = t
+        b = self.tangent_block
+        if b:
+            return (sum(e) + self.twists[pos], -sum(e[:b]), sum(e),
+                    tuple(-x for x in reversed(e)), -pos)
         block = 1 if pos < self.elim_rank else 0
         return (block, sum(e), tuple(-x for x in reversed(e)), -pos)
 
     def heap_key(self, t: Term):
         """Negated term_key so a min-heap pops the largest term first."""
         pos, e = t
+        b = self.tangent_block
+        if b:
+            return (-sum(e) - self.twists[pos], sum(e[:b]), -sum(e),
+                    tuple(reversed(e)), pos)
         block = 1 if pos < self.elim_rank else 0
         return (-block, -sum(e), tuple(reversed(e)), pos)
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              NoStabilization, NotFoundWithinBudget,
                              NotGeneralizedCM, PreconditionViolation)
 from genuslab.homology import dual_sections
-from genuslab.invariants import (LengthTable, check_prop38, check_theorem34,
-                                 euler_chi1, find_d_sequence_generators, hdeg,
+from genuslab.invariants import (LengthTable, _TableEngine, check_prop38,
+                                 check_theorem34, euler_chi1,
+                                 find_d_sequence_generators, hdeg,
                                  hilbert_coefficients, hilbert_samuel_table,
                                  inequality_suite, invariant_report,
                                  is_d_sequence, is_superficial, multiplicity,
@@ -88,6 +90,48 @@ def test_table_grows_on_demand(line_with_spike):
     bigger = table.extended(8)
     assert bigger.values[:3] == table.values
     assert bigger.values[8] == 10
+
+
+def _rank_two_duals_of_random_38():
+    module, seq = random_instance(38)
+    duals = [ds.module for ds in dual_sections(module) if ds.module.rank == 2]
+    assert duals
+    return [(dual, seq.gens) for dual in duals]
+
+
+def _example42(d):
+    _, module, xs = build_example42(d)
+    return [(module, xs)]
+
+
+def _unequal_twist_sum():
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    M = A.cyclic_module().direct_sum(
+        A.cyclic_module(2).quotient_by_ideal([x]))
+    assert M.twists == (0, 2)
+    return [(M, (x + y, z - y))]
+
+
+def _random(seed):
+    module, seq = random_instance(seed)
+    return [(module, seq.gens)]
+
+
+@pytest.mark.parametrize("build", [
+    _rank_two_duals_of_random_38,
+    lambda: _example42(2), lambda: _example42(3), lambda: _example42(4),
+    _unequal_twist_sum,
+    lambda: _random(0), lambda: _random(5), lambda: _random(10),
+], ids=["random38-rank2-duals", "example42-2", "example42-3", "example42-4",
+        "unequal-twist-sum", "random0", "random5", "random10"])
+def test_tangent_cone_route_matches_ideal_powers(build):
+    # the tangent-cone slices against expanded powers of the ideal
+    for module, gens in build():
+        eng = _TableEngine(module, gens)
+        assert eng.linear
+        assert ([eng._linear_value(n) for n in range(6)]
+                == [eng._direct_value(n) for n in range(6)])
 
 
 # -- coefficients -------------------------------------------------------------

@@ -200,6 +200,30 @@ def test_elimination_block_dominates():
     assert F.heap_key(high) < F.heap_key(low)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2),
+                          st.tuples(*[st.integers(0, 3)] * 4)),
+                min_size=2, max_size=30, unique=True),
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(1, 3))
+def test_tangent_heap_key_negates_term_key(terms, twists, block):
+    F = FreeModule(make_ring("xyzw"), twists, tangent_block=block)
+    assert (sorted(terms, key=F.term_key, reverse=True)
+            == sorted(terms, key=F.heap_key))
+
+
+def test_tangent_order_leads_with_lowest_block_degree():
+    R = make_ring("xyz", 7)
+    F = FreeModule(R, (0, 1), tangent_block=1)
+    x, y, z = (R.variable(i) for i in range(3))
+    # x*y has the smaller x-degree, so it beats x^2 despite degrevlex
+    v = element_from_components(F, [x * x + x * y, None])
+    assert v.lead_term() == ((0, (1, 1, 0)), 1)
+    # with the twist, y in position 1 has degree 2 like x*z in position 0
+    # and wins on x-degree; untwisted, x*z would lead on degree alone
+    w = element_from_components(F, [x * z, y])
+    assert w.lead_term() == ((1, (0, 1, 0)), 1)
+
+
 def test_element_arithmetic():
     R = make_ring("xy", 7)
     F = FreeModule(R, (0, 0))
