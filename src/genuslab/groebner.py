@@ -12,16 +12,18 @@ Kernel computations (syzygies, colons, intersections, presentations of
 subquotients) all reduce to one primitive: the kernel of a map from a free
 module to a presented module, computed with a block order in which target
 positions dominate tracking positions.
+
+Standard monomials are counted, never listed, through the Hilbert numerator
+of the lead monomials: Hilbert function values, finite lengths and the
+length-table slices all come from that one kernel.
 """
 from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 from .errors import CrossCheckFailure, InfiniteLength, PreconditionViolation
-from .ring import (FreeElement, FreeModule, mono_deg, mono_div, mono_divides,
-                   mono_lcm)
+from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_div,
+                   mono_divides, mono_lcm)
 
 NEG_INF = float("-inf")
 
@@ -389,56 +391,103 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
 
 
 # -- standard monomial counting ----------------------------------------------
+# One mechanism: the Hilbert numerator of a monomial ideal, by the pivot
+# recursion of Bayer-Stillman and Bigatti.  A Hilbert function value, a
+# cumulative count and the total length of a finite quotient are all read off
+# the numerator; no monomial is ever listed.
 
-_GRID_CACHE = {}
+def _minimal_leads(leads):
+    out = []
+    for e in sorted(leads, key=lambda e: (mono_deg(e), e)):
+        if not any(mono_divides(k, e) for k in out):
+            out.append(e)
+    return tuple(out)
 
 
-def monomial_grid(n: int, d: int) -> np.ndarray:
-    """All exponent vectors of total degree d in n variables, one per row,
-    in a fixed order.  Cached; rows are int16."""
-    if d < 0:
-        return np.zeros((0, max(n, 0)), dtype=np.int16)
-    if n == 0:
-        return np.zeros((1 if d == 0 else 0, 0), dtype=np.int16)
-    key = (n, d)
-    got = _GRID_CACHE.get(key)
+_NUMERATOR_CACHE = {}
+
+
+def _hilbert_numerator(leads, n: int) -> dict:
+    """Numerator of the degreewise-size series of S/(leads) over (1-t)^n,
+    as a sparse {degree: coefficient} dict.
+
+    Recursion on a pivot variable: quotienting by the pivot and coloning out
+    the pivot split the count exactly, and once every variable touches at
+    most one generator the generators are pairwise coprime and the numerator
+    is a plain product.
+    """
+    leads = _minimal_leads(leads)
+    key = (n, leads)
+    got = _NUMERATOR_CACHE.get(key)
     if got is not None:
         return got
-    if n == 1:
-        out = np.array([[d]], dtype=np.int16)
+    if any(mono_deg(e) == 0 for e in leads):
+        out = {}
     else:
-        blocks = []
-        for a in range(d + 1):
-            sub = monomial_grid(n - 1, d - a)
-            if sub.shape[0] == 0:
-                continue
-            head = np.full((sub.shape[0], 1), a, dtype=np.int16)
-            blocks.append(np.hstack([head, sub]))
-        out = np.vstack(blocks) if blocks else np.zeros((0, n), dtype=np.int16)
-    _GRID_CACHE[key] = out
+        counts = [0] * n
+        for e in leads:
+            for i, a in enumerate(e):
+                if a:
+                    counts[i] += 1
+        pivot = max(range(n), key=counts.__getitem__) if n else 0
+        if not leads or counts[pivot] <= 1:
+            out = {0: 1}
+            for e in leads:
+                d = mono_deg(e)
+                nxt = {}
+                for j, c in out.items():
+                    nxt[j] = nxt.get(j, 0) + c
+                    nxt[j + d] = nxt.get(j + d, 0) - c
+                out = {j: c for j, c in nxt.items() if c}
+        else:
+            unit = tuple(1 if i == pivot else 0 for i in range(n))
+            plus = [e for e in leads if e[pivot] == 0] + [unit]
+            quo = [tuple(a - 1 if i == pivot and a else a
+                         for i, a in enumerate(e)) for e in leads]
+            out = dict(_hilbert_numerator(tuple(plus), n))
+            for j, c in _hilbert_numerator(tuple(quo), n).items():
+                v = out.get(j + 1, 0) + c
+                if v:
+                    out[j + 1] = v
+                else:
+                    out.pop(j + 1, None)
+    _NUMERATOR_CACHE[key] = out
     return out
+
+
+def _series_value(num: dict, n: int, t: int) -> int:
+    if t < 0:
+        return 0
+    if n == 0:
+        return num.get(t, 0)
+    return sum(c * binomial(t - j + n - 1, n - 1)
+               for j, c in num.items() if j <= t)
+
+
+def _series_cumulative(num: dict, n: int, top: int) -> int:
+    """Sum of the series values in degrees 0..top."""
+    if top < 0:
+        return 0
+    return sum(c * binomial(top - j + n, n) for j, c in num.items() if j <= top)
 
 
 def count_standard_monomials(leads, n: int, d: int) -> int:
     """Monomials of degree d in n variables outside the monomial ideal
     generated by `leads`."""
-    if d < 0:
-        return 0
-    relevant = [e for e in leads if mono_deg(e) <= d]
-    for e in relevant:
-        if mono_deg(e) == 0:
-            return 0
-    grid = monomial_grid(n, d)
-    if grid.shape[0] == 0:
-        return 0
-    if not relevant:
-        return int(grid.shape[0])
-    mask = np.ones(grid.shape[0], dtype=bool)
-    for e in relevant:
-        mask &= ~(grid >= np.asarray(e, dtype=np.int16)).all(axis=1)
-        if not mask.any():
-            return 0
-    return int(mask.sum())
+    return _series_value(_hilbert_numerator(tuple(leads), n), n, d)
+
+
+def finite_colength(leads, n: int) -> int:
+    """Monomials in n variables outside the monomial ideal generated by
+    `leads`, which must have finite colength.  The series is then a
+    polynomial, of degree at most that of its numerator, and the count is
+    its value at t = 1; CrossCheckFailure when the series does not end."""
+    num = _hilbert_numerator(tuple(leads), n)
+    top = max(num, default=-1)
+    if _series_value(num, n, top + 1):
+        raise CrossCheckFailure(
+            "finite colength expected, but the Hilbert series does not end")
+    return _series_cumulative(num, n, top)
 
 
 def _monomial_ring_dimension(supports, n: int):
@@ -500,23 +549,5 @@ def quotient_total_length(basis: SubmoduleBasis) -> int:
         raise InfiniteLength(f"quotient has dimension {dim}")
     n = ambient.ring.nvars
     leads = basis.leads_by_position()
-    top = None
-    for pos, twist in enumerate(ambient.twists):
-        lst = leads.get(pos, ())
-        if any(mono_deg(e) == 0 for e in lst):
-            continue  # this position dies entirely
-        # dimension <= 0 guarantees a pure power of every variable
-        span = 0
-        for i in range(n):
-            a = min(e[i] for e in lst
-                    if e[i] > 0 and all(x == 0 for k, x in enumerate(e) if k != i))
-            span += a - 1
-        cand = twist + span
-        if top is None or cand > top:
-            top = cand
-    if top is None:
-        return 0
-    total = 0
-    for t in range(min(ambient.twists), top + 1):
-        total += basis.standard_monomial_count(t)
-    return total
+    return sum(finite_colength(leads.get(pos, ()), n)
+               for pos in range(ambient.rank))

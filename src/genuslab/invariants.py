@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, ZeroModule)
-from .groebner import (NEG_INF, groebner_basis, quotient_dimension,
+from .groebner import (NEG_INF, _hilbert_numerator, finite_colength,
+                       groebner_basis, quotient_dimension,
                        quotient_total_length)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
-                      complete_to_invertible, ideal_power, invert_matrix,
-                      linear_coefficients, present_subquotient,
+                      complete_to_invertible, echelon_insert, ideal_power,
+                      invert_matrix, linear_coefficients, present_subquotient,
                       submodule_colon, submodule_intersect, substitute_element,
                       substitute_linear)
-from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_deg,
-                   mono_divides, poly_in_position)
+from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_divides,
+                   poly_in_position, poly_times_element)
 
 SUPERFICIAL_C_MAX = 3
 SUPERFICIAL_WINDOW = 2
@@ -50,83 +51,6 @@ def _ring_ideal_basis(algebra, polys):
     gens = [poly_in_position(F1, f, 0)
             for f in list(polys) + list(algebra.ideal_gens) if f]
     return groebner_basis(F1, gens)
-
-
-# -- counting standard monomials without materializing them -------------------
-
-def _minimal_leads(leads):
-    out = []
-    for e in sorted(leads, key=lambda e: (mono_deg(e), e)):
-        if not any(mono_divides(k, e) for k in out):
-            out.append(e)
-    return tuple(out)
-
-
-_NUMERATOR_CACHE = {}
-
-
-def _hilbert_numerator(leads, n: int) -> dict:
-    """Numerator of the degreewise-size series of S/(leads) over (1-t)^n,
-    as a sparse {degree: coefficient} dict.
-
-    Recursion on a pivot variable: quotienting by the pivot and coloning out
-    the pivot split the count exactly, and once every variable touches at
-    most one generator the generators are pairwise coprime and the numerator
-    is a plain product.
-    """
-    leads = _minimal_leads(leads)
-    key = (n, leads)
-    got = _NUMERATOR_CACHE.get(key)
-    if got is not None:
-        return got
-    if any(mono_deg(e) == 0 for e in leads):
-        out = {}
-    else:
-        counts = [0] * n
-        for e in leads:
-            for i, a in enumerate(e):
-                if a:
-                    counts[i] += 1
-        pivot = max(range(n), key=counts.__getitem__) if n else 0
-        if not leads or counts[pivot] <= 1:
-            out = {0: 1}
-            for e in leads:
-                d = mono_deg(e)
-                nxt = {}
-                for j, c in out.items():
-                    nxt[j] = nxt.get(j, 0) + c
-                    nxt[j + d] = nxt.get(j + d, 0) - c
-                out = {j: c for j, c in nxt.items() if c}
-        else:
-            unit = tuple(1 if i == pivot else 0 for i in range(n))
-            plus = [e for e in leads if e[pivot] == 0] + [unit]
-            quo = [tuple(a - 1 if i == pivot and a else a
-                         for i, a in enumerate(e)) for e in leads]
-            out = dict(_hilbert_numerator(tuple(plus), n))
-            for j, c in _hilbert_numerator(tuple(quo), n).items():
-                v = out.get(j + 1, 0) + c
-                if v:
-                    out[j + 1] = v
-                else:
-                    out.pop(j + 1, None)
-    _NUMERATOR_CACHE[key] = out
-    return out
-
-
-def _series_value(num: dict, n: int, t: int) -> int:
-    if t < 0:
-        return 0
-    if n == 0:
-        return num.get(t, 0)
-    return sum(c * binomial(t - j + n - 1, n - 1)
-               for j, c in num.items() if j <= t)
-
-
-def _series_cumulative(num: dict, n: int, top: int) -> int:
-    """Sum of the series values in degrees 0..top."""
-    if top < 0:
-        return 0
-    return sum(c * binomial(top - j + n, n) for j, c in num.items() if j <= top)
 
 
 def _twisted_series(basis) -> dict:
@@ -155,10 +79,12 @@ class _TableEngine:
     x-degree at most n.  Each x-degree slice is counted once: for every
     x-monomial u of that degree, the finitely many monomials in the other
     variables that stay outside the colon of the leads by u.  Every length
-    is then a prefix sum of slices.  Otherwise ideal powers are expanded
-    directly.  The route is an optimization only: the transformed basis must
-    have the Hilbert series of the original relations, and the n = 0 value
-    of the fast route is cross-checked against the direct quotient.
+    is then a prefix sum of slices.  Otherwise each level N + Q^{n+1}F is
+    computed from the previous one as N + Q(N + Q^n F) and its finite
+    quotient counted directly.  The linear route is an optimization only:
+    the transformed basis must have the Hilbert series of the original
+    relations, and the n = 0 value of the fast route is cross-checked
+    against the direct quotient.
     """
 
     def __init__(self, module: GradedModule, gens):
@@ -166,6 +92,7 @@ class _TableEngine:
         self.gens = tuple(gens)
         self.values = []
         self._base = module.submodule_with(module.ideal_multiples(list(gens)))
+        self._levels = [self._base]  # bases of N + Q^{n+1}F, by n
         if quotient_dimension(self._base) > 0:
             raise InfiniteLength(
                 "the ideal does not cut the module down to finite length")
@@ -181,19 +108,9 @@ class _TableEngine:
         rows = [linear_coefficients(q) for q in self.gens]
         ech, indep, indep_at = [], [], []
         for ridx, row in enumerate(rows):
-            vec = [c % p for c in row]
-            for prow in ech:
-                lead = next(i for i, c in enumerate(prow) if c)
-                c = vec[lead]
-                if c:
-                    vec = [(a - c * b) % p for a, b in zip(vec, prow)]
-            lead = next((i for i, c in enumerate(vec) if c), None)
-            if lead is None:
-                continue
-            inv = pow(vec[lead], p - 2, p)
-            ech.append([(c * inv) % p for c in vec])
-            indep.append(row)
-            indep_at.append(ridx)
+            if echelon_insert(ech, row, p):
+                indep.append(row)
+                indep_at.append(ridx)
         self.block = len(indep)
         full = complete_to_invertible(indep, nv, p)
         self.change = invert_matrix(full, p)
@@ -230,12 +147,7 @@ class _TableEngine:
         got = self._outside.get(colon)
         if got is None:
             m = self.module.algebra.ring.nvars - self.block
-            num = _hilbert_numerator(colon, m)
-            top = max(num, default=-1)
-            if _series_value(num, m, top + 1):
-                raise CrossCheckFailure(
-                    "a tangent-cone slice has infinite length")
-            got = self._outside[colon] = _series_cumulative(num, m, top)
+            got = self._outside[colon] = finite_colength(colon, m)
         return got
 
     def _slice(self, k: int) -> int:
@@ -254,12 +166,15 @@ class _TableEngine:
         return cum[n]
 
     def _direct_value(self, n: int) -> int:
-        if not self.gens:
-            return quotient_total_length(self._base)
-        power = ideal_power(self.module.algebra, list(self.gens), n + 1)
-        polys = [g.component(0) for g in power.gb]
-        basis = self.module.submodule_with(self.module.ideal_multiples(polys))
-        return quotient_total_length(basis)
+        # N + Q^{n+1}F = N + Q(N + Q^n F): each level is seeded from the
+        # previous one, leaving out the basis elements already in N
+        levels = self._levels
+        relations = self.module.relations
+        while len(levels) <= n:
+            levels.append(self.module.submodule_with(
+                [poly_times_element(q, g) for q in self.gens
+                 for g in levels[-1].gb if not relations.contains(g)]))
+        return quotient_total_length(levels[n])
 
     def values_up_to(self, top: int) -> list:
         while len(self.values) <= top:

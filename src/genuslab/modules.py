@@ -405,23 +405,32 @@ def invert_matrix(rows, p: int):
     return [row[n:] for row in aug]
 
 
+def echelon_insert(echelon: list, row, p: int) -> bool:
+    """Reduce row over Z/p against the monic echelon rows, in the order they
+    were inserted.  A nonzero remainder is made monic and appended (True);
+    a row in their span leaves the list unchanged (False)."""
+    vec = [c % p for c in row]
+    for prow in echelon:
+        lead = next(i for i, c in enumerate(prow) if c)
+        c = vec[lead]
+        if c:
+            vec = [(a - c * b) % p for a, b in zip(vec, prow)]
+    lead = next((i for i, c in enumerate(vec) if c), None)
+    if lead is None:
+        return False
+    inv = pow(vec[lead], p - 2, p)
+    echelon.append([(c * inv) % p for c in vec])
+    return True
+
+
 def complete_to_invertible(rows, n: int, p: int):
     """Extend linearly independent rows to an invertible n x n matrix by
     greedily appending unit vectors."""
     basis = []
     out = []
     def add(row):
-        vec = [c % p for c in row]
-        for prow in basis:
-            lead = next(i for i, c in enumerate(prow) if c)
-            c = vec[lead]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, prow)]
-        lead = next((i for i, c in enumerate(vec) if c), None)
-        if lead is None:
+        if not echelon_insert(basis, row, p):
             return False
-        inv = pow(vec[lead], p - 2, p)
-        basis.append([(c * inv) % p for c in vec])
         out.append([c % p for c in row])
         return True
     for row in rows:

@@ -259,18 +259,34 @@ def test_corpus_deterministic():
     assert one == two
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from tmp_path, where a relative PYTHONPATH entry such
-    # as "src" does not resolve; point it at the absolute directory holding
-    # the genuslab package this process imported.
+def _child_env():
+    # A child running from another directory, where a relative PYTHONPATH
+    # entry such as "src" does not resolve, is pointed at the absolute
+    # directory holding the genuslab package this process imported.
     package_root = str(pathlib.Path(genuslab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "genuslab.cli", "run",
          str(SESSIONS / "triangular_cokernel.ses"), "--no-timings"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=300)
     assert proc.returncode == 0, proc.stderr
     agg = json.loads(proc.stdout)
     assert agg["reports"][0]["ulrich"]["verdict"] == "holds"
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    # the engine has no runtime dependency; numpy must not come in by import
+    code = ("import sys\n"
+            "import genuslab.cli, genuslab.invariants, genuslab.oracle\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -6,12 +6,12 @@ import hypothesis.strategies as st
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure, InfiniteLength
 from genuslab.groebner import (BuchbergerState, NEG_INF, SubmoduleBasis,
-                               count_standard_monomials, groebner_basis,
-                               kernel_of_map, monomial_grid,
+                               count_standard_monomials, finite_colength,
+                               groebner_basis, kernel_of_map,
                                quotient_dimension, quotient_total_length,
                                set_debug_verification, syzygies, verify_basis)
 from genuslab.ring import (FreeModule, PolyRing, element_from_components,
-                           poly_in_position, poly_times_element)
+                           mono_divides, poly_in_position, poly_times_element)
 
 from oracle_battery import run_battery
 
@@ -152,13 +152,53 @@ def test_hilbert_function_against_oracle():
         assert b.standard_monomial_count(t) == oracle.quotient_dimension_at(F, gens, t)
 
 
-def test_monomial_grid_shapes():
-    assert monomial_grid(3, 2).shape == (6, 3)
-    assert monomial_grid(1, 5).shape == (1, 1)
-    assert monomial_grid(2, -1).shape[0] == 0
+def test_count_standard_monomials_small_cases():
     assert count_standard_monomials([(2, 0), (1, 1), (0, 2)], 2, 2) == 0
     assert count_standard_monomials([(2, 0)], 2, 3) == 2  # xy^2 and y^3 survive
     assert count_standard_monomials([], 2, 4) == 5
+
+
+@st.composite
+def lead_sets(draw):
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return n, draw(st.lists(exps, max_size=6))
+
+
+@given(lead_sets(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_count_standard_monomials_matches_listing(case, d):
+    # the Hilbert-numerator count against listing every monomial of degree d
+    n, leads = case
+    ring = PolyRing(tuple("xyzw"[:n]))
+    listed = sum(1 for m in ring.monomials_of_degree(d)
+                 if not any(mono_divides(e, m) for e in leads))
+    assert count_standard_monomials(leads, n, d) == listed
+
+
+def test_finite_colength_needs_a_series_that_ends():
+    assert finite_colength([(2, 0), (1, 1), (0, 3)], 2) == 4  # 1, x, y, y^2
+    assert finite_colength([()], 2) == 0
+    with pytest.raises(CrossCheckFailure):
+        finite_colength([(1, 0)], 2)  # every y^k survives
+
+
+def test_twisted_rank_two_length_against_oracle():
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = (R.variable(i) for i in range(3))
+    F = FreeModule(R, (0, 2))
+    gens = [element_from_components(F, [x ** 3, y]),
+            element_from_components(F, [x * x * z, x - z]),
+            element_from_components(F, [y * y + x * z, None]),
+            element_from_components(F, [z ** 3, None]),
+            element_from_components(F, [x ** 4, None]),
+            element_from_components(F, [None, z * z])]
+    b = groebner_basis(F, gens)
+    assert quotient_dimension(b) == 0
+    by_degree = [oracle.quotient_dimension_at(F, gens, t) for t in range(10)]
+    assert by_degree[-2:] == [0, 0]
+    assert sum(by_degree) > 0
+    assert quotient_total_length(b) == sum(by_degree)
 
 
 def test_verify_rejects_non_basis():

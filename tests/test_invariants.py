@@ -20,7 +20,8 @@ from genuslab.invariants import (LengthTable, _TableEngine, check_prop38,
                                  is_d_sequence, is_superficial, multiplicity,
                                  module_coefficients, sectional_genus,
                                  sv_invariant, torsion)
-from genuslab.modules import GradedAlgebra, ParameterSequence
+from genuslab.groebner import quotient_total_length
+from genuslab.modules import GradedAlgebra, ParameterSequence, ideal_power
 from genuslab.ring import PolyRing, binomial
 
 
@@ -132,6 +133,24 @@ def test_tangent_cone_route_matches_ideal_powers(build):
         assert eng.linear
         assert ([eng._linear_value(n) for n in range(6)]
                 == [eng._direct_value(n) for n in range(6)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _random(0), lambda: _random(5), lambda: _random(10),
+    _unequal_twist_sum, lambda: _example42(3),
+], ids=["random0", "random5", "random10", "unequal-twist-sum", "example42-3"])
+def test_direct_route_recurrence_matches_ideal_powers(build):
+    # levels seeded from the previous level against expanded powers of a
+    # non-linear ideal: the first generator squared
+    for module, gens in build():
+        gens = (gens[0] * gens[0],) + tuple(gens[1:])
+        eng = _TableEngine(module, gens)
+        assert not eng.linear
+        for n in range(6):
+            power = ideal_power(module.algebra, list(gens), n + 1)
+            polys = [g.component(0) for g in power.gb]
+            expanded = module.submodule_with(module.ideal_multiples(polys))
+            assert eng._direct_value(n) == quotient_total_length(expanded)
 
 
 # -- coefficients -------------------------------------------------------------
