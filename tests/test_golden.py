@@ -1,0 +1,34 @@
+"""Every shipped session reproduces its recorded output byte for byte.
+
+The golden files under tests/golden/ hold the exact stdout of
+`genuslab run <session> --no-timings` and its exit code.  An engine change
+that alters any reported number, or the order or layout of a report, shows
+up here; one that only moves work around does not.  Basis re-verification
+(--verify-gb) must not change a byte either.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from genuslab.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.json"))
+
+
+def test_every_session_has_a_golden_file():
+    sessions = sorted(p.stem for p in (ROOT / "sessions").glob("*.ses"))
+    assert sessions == [p.stem for p in GOLDEN]
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-gb"]],
+                         ids=["plain", "verify-gb"])
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda p: p.stem)
+def test_session_output_is_byte_identical(capsys, golden, extra):
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    code = main(["run", str(ROOT / want["session"]), "--no-timings"] + extra)
+    out = capsys.readouterr().out
+    assert code == want["exit_code"]
+    assert out == want["stdout"]
