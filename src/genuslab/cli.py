@@ -1,7 +1,8 @@
 """Command line front end: run a session file, or sweep instance families.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 the input could not be
-parsed or the invocation was malformed, 3 an engine error.  Reports go to
+parsed or the invocation was malformed, 3 an engine error or any other
+exception inside a command, reported as a structured error.  Reports go to
 stdout in canonical JSON (or the CSV projection); diagnostics go to stderr.
 """
 
@@ -121,9 +122,19 @@ def _corpus_battery(desc: InstanceDescriptor, flags: RunFlags,
     raise ValueError(f"unknown corpus family {desc.family!r}")
 
 
+def _error_entry(err: Exception) -> dict:
+    """The structured error of a command that raised; the run goes on and
+    exits 3.  Anything but an engine error is a bug, so its traceback also
+    goes to stderr."""
+    if not isinstance(err, EngineError):
+        import traceback  # only on a crash: keeps it off the start-up path
+        traceback.print_exception(err, file=sys.stderr)
+    return {"type": type(err).__name__, "message": str(err)}
+
+
 def run_corpus_instance(desc: InstanceDescriptor, flags: RunFlags) -> dict:
-    """One instance end to end.  Engine errors are recorded, not raised, so
-    a sweep always completes."""
+    """One instance end to end.  Errors are recorded, not raised, so a sweep
+    always completes."""
     out = {"instance": desc.instance_id, "family": desc.family,
            "params": dict(desc.params)}
     started = time.perf_counter()
@@ -139,8 +150,8 @@ def run_corpus_instance(desc: InstanceDescriptor, flags: RunFlags) -> dict:
             out["expected_mismatches"] = mismatches
         suite_bad = out.get("inequalities", {}).get("verdict") == "fails"
         out["status"] = "fail" if (mismatches or suite_bad) else "pass"
-    except EngineError as err:
-        out["error"] = {"type": type(err).__name__, "message": str(err)}
+    except Exception as err:
+        out["error"] = _error_entry(err)
         out["status"] = "error"
     if not flags.no_timings:
         out["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
@@ -224,8 +235,8 @@ def _execute(session: Session, cmd, index: int, flags: RunFlags) -> dict:
                 out["ulrich"] = serialize_checklist(rep.checks)
         else:
             raise TypeError(f"not a command: {cmd!r}")
-    except EngineError as err:
-        out["error"] = {"type": type(err).__name__, "message": str(err)}
+    except Exception as err:
+        out["error"] = _error_entry(err)
     if not flags.no_timings:
         out["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     return out
@@ -233,7 +244,7 @@ def _execute(session: Session, cmd, index: int, flags: RunFlags) -> dict:
 
 def run(session: Session, flags: RunFlags = None) -> tuple:
     """Execute every command of a parsed session.  Returns the aggregate
-    report and the exit code; engine errors are captured per command."""
+    report and the exit code; errors are captured per command."""
     flags = flags or RunFlags()
     with _engine_flags(flags):
         reports = [_execute(session, cmd, i, flags)

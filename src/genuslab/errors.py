@@ -76,6 +76,27 @@ class IndexOutOfRange(EngineError):
     """Torsion index outside 1..s-1."""
 
 
+class SingularMatrix(EngineError):
+    """A square matrix over Z/p has no inverse."""
+
+
+class DependentRows(EngineError):
+    """Rows meant to be linearly independent over Z/p are not."""
+
+
+class IncompleteBasis(EngineError):
+    """Linearly independent rows could not be completed to an invertible
+    matrix."""
+
+
+class RaggedMatrix(EngineError):
+    """The rows of a matrix have unequal lengths."""
+
+
+class NotLinearForm(EngineError):
+    """A linear form was required but the polynomial has another degree."""
+
+
 class ParseError(EngineError):
     """Session text could not be parsed; carries source position."""
 

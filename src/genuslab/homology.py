@@ -1,12 +1,13 @@
 """Free resolutions, dualized-resolution cohomology, depth, and Koszul
 homology.
 
-Resolutions are minimal by construction: at every step the syzygy module is
-regenerated from a Nakayama-minimal generating set (no generator lies in the
-span of the others plus the irrelevant ideal times the module), so no unit
-entries ever appear and Auslander-Buchsbaum applies literally.  Composition
-of consecutive differentials is checked exactly on every emitted complex; a
-dense per-degree exactness verifier is available for small instances.
+Resolutions are minimal by construction: at every step the differential is a
+Nakayama-minimal generating set of the syzygy module N, a basis of N/mN
+picked from N's reduced basis with one degree-truncated basis of mN and one
+echelon per degree, so no unit entries ever appear and Auslander-Buchsbaum
+applies literally.  Composition of consecutive differentials is checked
+exactly on every emitted complex; a dense per-degree exactness verifier is
+available for small instances.
 
 The local-cohomology duals are realized as cohomology of the dualized
 resolution, dropping the canonical-module twist: every consumer here (length,
@@ -20,8 +21,11 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import CrossCheckFailure, ZeroModule
-from .groebner import NEG_INF, SubmoduleBasis, groebner_basis, kernel_of_map
-from .modules import (GradedModule, present_subquotient, zero_module)
+from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
+                       debug_verification_enabled, groebner_basis,
+                       kernel_of_map)
+from .modules import (GradedModule, echelon_insert, present_subquotient,
+                      zero_module)
 from .ring import FreeElement, FreeModule, poly_times_element
 
 
@@ -63,23 +67,43 @@ class FreeComplex:
 
 
 def minimal_generators(basis: SubmoduleBasis) -> list:
-    """A Nakayama-minimal generating set for the submodule, extracted from its
-    reduced basis in ascending degree."""
+    """A Nakayama-minimal generating set for the submodule N, picked from its
+    reduced basis in ascending (degree, lead term) order.
+
+    N/mN is a graded vector space, so one basis of m*N suffices: a Buchberger
+    run on the x_i*g, truncated at the top degree of N's basis, is complete
+    through that degree, and its normal form is linear there.  g is picked
+    exactly when g is not in m*N plus the span of the earlier picks, that is
+    when its normal form is independent of the normal forms already picked
+    in its degree; one echelon per degree decides that.  Under --verify-gb
+    the picks must regenerate N.
+    """
     if not basis.gb:
         return []
     ambient = basis.ambient
     ring = ambient.ring
-    variables = [ring.variable(i) for i in range(ring.nvars)]
-    mk = [poly_times_element(v, g) for v in variables for g in basis.gb]
-    current = groebner_basis(ambient, mk)
+    top = max(g.degree for g in basis.gb)
+    # x_i*g above the top degree cannot reduce anything of degree <= top
+    mk = [poly_times_element(ring.variable(i), g)
+          for i in range(ring.nvars) for g in basis.gb if g.degree < top]
+    mn = BuchbergerState(ambient, mk)
+    mn.process(until=top)
+    by_degree = {}
+    for g in sorted(basis.gb,
+                    key=lambda g: (g.degree, ambient.term_key(g.lead_term()[0]))):
+        by_degree.setdefault(g.degree, []).append((g, mn.normal_form(g)))
     picked = []
-    ordered = sorted(basis.gb,
-                     key=lambda g: (g.degree, ambient.term_key(g.lead_term()[0])))
-    for g in ordered:
-        if current.normal_form(g):
-            picked.append(g)
-            current = groebner_basis(ambient, list(current.gb) + [g],
-                                     assume_reduced_prefix=len(current.gb))
+    for pairs in by_degree.values():
+        columns = sorted({t for _, nf in pairs for t in nf.terms},
+                         key=ambient.term_key, reverse=True)
+        echelon = []
+        for g, nf in pairs:
+            row = [nf.terms.get(t, 0) for t in columns]
+            if echelon_insert(echelon, row, ring.prime):
+                picked.append(g)
+    if debug_verification_enabled() and groebner_basis(ambient, picked) != basis:
+        raise CrossCheckFailure(
+            "minimal generators do not regenerate the submodule")
     return picked
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
-                     NotGeneralizedCM, PreconditionViolation, ZeroModule)
+                     NotGeneralizedCM, PreconditionViolation, SingularMatrix,
+                     ZeroModule)
 from .groebner import (NEG_INF, _hilbert_numerator, finite_colength,
                        groebner_basis, quotient_dimension,
                        quotient_total_length)
@@ -571,7 +572,7 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
                     try:
                         invert_matrix(mat, p)
                         break
-                    except ValueError:
+                    except SingularMatrix:
                         continue
                 matrices.append({"degree": deg, "rows": mat})
                 for r, row in enumerate(mat):

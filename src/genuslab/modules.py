@@ -9,8 +9,9 @@ lazily; every value, once computed, is immutable.
 """
 from __future__ import annotations
 
-from .errors import (InfiniteLength, NonStandardGrading, PreconditionViolation,
-                     ZeroModule)
+from .errors import (DependentRows, IncompleteBasis, InfiniteLength,
+                     NonStandardGrading, NotLinearForm, PreconditionViolation,
+                     RaggedMatrix, SingularMatrix, ZeroModule)
 from .groebner import (NEG_INF, SubmoduleBasis, groebner_basis, kernel_of_map,
                        quotient_dimension, quotient_hilbert_function,
                        quotient_total_length)
@@ -232,7 +233,7 @@ def module_from_matrix(algebra: GradedAlgebra, rows, row_twists=None) -> GradedM
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
+        raise RaggedMatrix("ragged matrix")
     twists = tuple(row_twists) if row_twists is not None else (0,) * nrows
     F = FreeModule(algebra.ring, twists)
     relations = []
@@ -387,14 +388,14 @@ class ParameterSequence:
 # -- linear algebra over the prime field -------------------------------------
 
 def invert_matrix(rows, p: int):
-    """Inverse of a square matrix over Z/p; ValueError if singular."""
+    """Inverse of a square matrix over Z/p; SingularMatrix if singular."""
     n = len(rows)
     aug = [[rows[i][j] % p for j in range(n)] + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] % p), None)
         if piv is None:
-            raise ValueError("singular matrix")
+            raise SingularMatrix("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = pow(aug[col][col], p - 2, p)
         aug[col] = [(v * inv) % p for v in aug[col]]
@@ -435,20 +436,20 @@ def complete_to_invertible(rows, n: int, p: int):
         return True
     for row in rows:
         if not add(row):
-            raise ValueError("rows are linearly dependent")
+            raise DependentRows("rows are linearly dependent")
     for i in range(n):
         if len(out) == n:
             break
         add([1 if j == i else 0 for j in range(n)])
     if len(out) != n:
-        raise ValueError("could not complete the matrix")
+        raise IncompleteBasis("could not complete the matrix")
     return out
 
 
 def linear_coefficients(f: Polynomial):
     """Coefficient row of a linear form."""
     if f.degree != 1:
-        raise ValueError("not a linear form")
+        raise NotLinearForm("not a linear form")
     ring = f.ring
     row = [0] * ring.nvars
     for e, c in f.terms.items():

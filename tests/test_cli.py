@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import genuslab
+from genuslab import cli
 from genuslab.cli import (EXIT_CHECK_FAILED, EXIT_ENGINE, EXIT_OK, EXIT_USAGE,
                           RunFlags, config_to_grid, corpus_run, main, run)
 from genuslab.corpus import InstanceDescriptor, example42_descriptor
@@ -143,6 +144,36 @@ def test_wide_ring_is_an_engine_error(capsys, tmp_path):
     code, agg, _ = run_json(capsys, ["run", str(path), "--no-timings"])
     assert code == EXIT_ENGINE
     assert agg["reports"][0]["error"]["type"] == "PreconditionViolation"
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_crash_in_a_command_is_a_structured_error(capsys, monkeypatch):
+    # an exception that is not an engine error still gives a structured
+    # error and exit 3, not an uncaught traceback and exit 1
+    monkeypatch.setattr(cli, "invariant_report", _boom)
+    code, agg, err = run_json(capsys, [
+        "run", str(SESSIONS / "spiked_line.ses"), "--no-timings"])
+    assert code == EXIT_ENGINE
+    assert agg["reports"][0]["error"] == {"type": "RuntimeError",
+                                          "message": "boom"}
+    # a bug, so its traceback is a diagnostic on stderr
+    assert "RuntimeError: boom" in err
+    # the other commands still ran
+    assert agg["reports"][-1]["thm34"]["verdict"] == "holds"
+
+
+def test_crash_in_a_corpus_instance_is_a_structured_error(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "ulrich_check", _boom)
+    code, agg, _ = run_json(capsys, ["corpus", "example42", "1",
+                                     "--no-timings"])
+    assert code == EXIT_ENGINE
+    (inst,) = agg["instances"]
+    assert inst["status"] == "error"
+    assert inst["error"] == {"type": "RuntimeError", "message": "boom"}
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

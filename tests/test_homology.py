@@ -1,15 +1,20 @@
 """Homological layer: resolutions, duals, depth, Koszul homology."""
 import pytest
 
+from genuslab import groebner, homology, oracle
+from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import CrossCheckFailure, ZeroModule
+from genuslab.groebner import groebner_basis, syzygies
 from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                dual_sections, ext_module, free_resolution,
                                koszul_complex, koszul_homology_lengths,
-                               minimal_presentation, projective_dimension,
+                               minimal_generators, minimal_presentation,
+                               projective_dimension,
                                verify_resolution_exactness)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               zero_module)
-from genuslab.ring import FreeModule, PolyRing, poly_in_position
+from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
+                           poly_times_element)
 
 
 def algebra(names, relations=(), p=32003):
@@ -78,6 +83,85 @@ def test_exactness_verifier_rejects_truncation():
     chopped = FreeComplex(res.spots[:2], res.diffs[:1])
     with pytest.raises(CrossCheckFailure):
         verify_resolution_exactness(chopped, 6)
+
+
+# -- minimal generators -------------------------------------------------------
+
+def _example42_relations():
+    _, module, _ = build_example42(3)
+    return module.relations
+
+
+def _unequal_twist_relations():
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    M = A.cyclic_module().direct_sum(
+        A.cyclic_module(2).quotient_by_ideal([x, y * z]))
+    assert M.twists == (0, 2)
+    return M.relations
+
+
+def _random_relations(seed):
+    module, _ = random_instance(seed)
+    return module.relations
+
+
+def _binomial_relations():
+    # a reduced basis of 6 elements over 3 minimal generators; its two
+    # degree-3 elements have nonzero but proportional normal forms modulo mN,
+    # so only the first of them is picked
+    A, (x, y, z) = algebra("xyz")
+    return A.cyclic_module().quotient_by_ideal(
+        [x * y - y * z, x * x + y * z, x * y * y + z ** 3]).relations
+
+
+def _syzygies_of(build):
+    # the syzygies of a reduced basis used as generators, so the syzygy
+    # module carries redundant S-pair syzygies
+    basis = build()
+    return syzygies(groebner_basis(basis.ambient, basis.gb))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _random_relations(0), lambda: _random_relations(5),
+    lambda: _random_relations(10), _example42_relations,
+    _unequal_twist_relations, _binomial_relations,
+    lambda: _syzygies_of(lambda: _random_relations(0)),
+    lambda: _syzygies_of(_binomial_relations),
+], ids=["random0", "random5", "random10", "example42-3", "unequal-twist-sum",
+        "binomial", "syzygies-random0", "syzygies-binomial"])
+def test_minimal_generators_against_the_oracle(build):
+    # in every degree t the picks are a basis of N_t / (mN)_t, by dense
+    # linear algebra, and together they regenerate N
+    basis = build()
+    ambient = basis.ambient
+    ring = ambient.ring
+    picked = minimal_generators(basis)
+    mn = [poly_times_element(ring.variable(i), g)
+          for i in range(ring.nvars) for g in basis.gb]
+    degrees = [g.degree for g in basis.gb]
+    for t in range(min(degrees), max(degrees) + 1):
+        assert (sum(1 for g in picked if g.degree == t)
+                == oracle.span_dimension(ambient, basis.gb, t)
+                - oracle.span_dimension(ambient, mn, t))
+    assert groebner_basis(ambient, picked).gb == basis.gb
+
+
+def test_example44_41_betti_numbers():
+    _, seq = build_example44(4, 1)
+    assert betti_numbers(seq.module) == (1, 16, 48, 68, 56, 28, 8, 1)
+
+
+def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
+    basis = _unequal_twist_relations()
+    want = minimal_generators(basis)
+    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
+    assert groebner.debug_verification_enabled()
+    assert minimal_generators(basis) == want
+    # picks that do not regenerate the submodule trip the cross-check
+    monkeypatch.setattr(homology, "echelon_insert", lambda *args: False)
+    with pytest.raises(CrossCheckFailure):
+        minimal_generators(basis)
 
 
 # -- ext ----------------------------------------------------------------------

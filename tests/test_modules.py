@@ -4,8 +4,10 @@ import random
 import pytest
 
 from genuslab import oracle
-from genuslab.errors import (InfiniteLength, NonStandardGrading,
-                             PreconditionViolation, ZeroModule)
+from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
+                             InfiniteLength, NonStandardGrading, NotLinearForm,
+                             PreconditionViolation, RaggedMatrix,
+                             SingularMatrix, ZeroModule)
 from genuslab.groebner import NEG_INF, groebner_basis
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               complete_to_invertible, ideal_power,
@@ -216,7 +218,7 @@ def test_matrix_inverse_and_completion():
     t = [[1, 1], [0, 1]]
     ti = invert_matrix(t, p)
     assert ti == [[1, p - 1], [0, 1]]
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMatrix):
         invert_matrix([[1, 1], [2, 2]], p)
     comp = complete_to_invertible([[1, 1]], 2, p)
     assert comp[0] == [1, 1]
@@ -232,6 +234,23 @@ def test_linear_substitution_moves_parameters_to_variables():
     f = x * x
     g = substitute_linear(f, [[1, 1], [0, 1]])  # x -> x + y
     assert g == x * x + 2 * x * y + y * y
+
+
+@pytest.mark.parametrize("error, call", [
+    (SingularMatrix, lambda A, x, y: invert_matrix([[1, 1], [2, 2]], 32003)),
+    (DependentRows,
+     lambda A, x, y: complete_to_invertible([[1, 1], [2, 2]], 2, 32003)),
+    # one row cannot be part of a 0 x 0 matrix
+    (IncompleteBasis, lambda A, x, y: complete_to_invertible([[1]], 0, 32003)),
+    (RaggedMatrix, lambda A, x, y: module_from_matrix(A, [[x, y], [x]])),
+    (NotLinearForm, lambda A, x, y: linear_coefficients(x * y)),
+], ids=["singular", "dependent", "incomplete", "ragged", "not-linear"])
+def test_linear_algebra_failures_are_engine_errors(error, call):
+    # named engine errors, so the command line reports them with exit 3
+    A, (x, y) = algebra("xy")
+    assert issubclass(error, EngineError)
+    with pytest.raises(error):
+        call(A, x, y)
 
 
 # -- idealization -------------------------------------------------------------
