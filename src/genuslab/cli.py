@@ -20,7 +20,7 @@ from .corpus import (InstanceDescriptor, build_example42, build_example44,
                      example44_descriptor, idealization_descriptor,
                      random_instance, ulrich_check)
 from .dsl import (CORPUS_FAMILIES, CheckCmd, ComputeCmd, CorpusCmd, Session,
-                  parse_session)
+                  corpus_parameter_problem, parse_session)
 from .errors import EngineError, HomogeneityViolation, ParseError
 from .invariants import (check_prop38, check_theorem34, hilbert_samuel_table,
                          inequality_suite, invariant_report, multiplicity)
@@ -184,6 +184,9 @@ def corpus_run(grid, flags: RunFlags = None) -> dict:
 # ------------------------------------------------------------- sessions
 
 def _descriptor_for(family: str, params, prime: int) -> InstanceDescriptor:
+    problem = corpus_parameter_problem(family, params)
+    if problem:
+        raise ValueError(problem)
     if family == "example44":
         return example44_descriptor(params[0], params[1], prime)
     if family == "example42":
@@ -281,9 +284,10 @@ def config_to_grid(config: dict, prime: int = DEFAULT_PRIME) -> tuple:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     grid = []
     for pair in config.get("example44", []):
-        grid.append(example44_descriptor(int(pair[0]), int(pair[1]), prime))
+        grid.append(_descriptor_for("example44", [int(pair[0]), int(pair[1])],
+                                    prime))
     for d in config.get("example42", []):
-        grid.append(example42_descriptor(int(d), prime))
+        grid.append(_descriptor_for("example42", [int(d)], prime))
     if config.get("idealization"):
         grid.append(idealization_descriptor(prime))
     seeds = config.get("random", [])
@@ -349,7 +353,7 @@ def _corpus_grid_from_args(args) -> tuple:
         family = args.names[0]
         if family not in CORPUS_FAMILIES:
             raise ValueError(f"unknown corpus family {family!r}")
-        arity = CORPUS_FAMILIES[family]
+        arity = len(CORPUS_FAMILIES[family])
         params = args.names[1:]
         if len(params) != arity:
             raise ValueError(

@@ -20,9 +20,22 @@ from .ring import DEFAULT_PRIME, PolyRing, Polynomial
 _SYMBOLS = set("=/,+-*^()[]")
 
 CHECK_KINDS = ("thm34", "prop38", "inequalities", "ulrich")
-# family name -> number of integer parameters
-CORPUS_FAMILIES = {"example44": 2, "example42": 1, "idealization": 0,
-                   "random": 1}
+# family name -> (name, least accepted value or None) per integer parameter
+CORPUS_FAMILIES = {"example44": (("l", 2), ("m", 1)), "example42": (("d", 1),),
+                   "idealization": (), "random": (("seed", None),)}
+
+
+def corpus_parameter_problem(family: str, params):
+    """Why the integer parameters are out of range for the family's builder,
+    or None when they are in range."""
+    spec = CORPUS_FAMILIES[family]
+    if all(least is None or v >= least
+           for (_, least), v in zip(spec, params)):
+        return None
+    need = " and ".join(f"{name} >= {least}" for name, least in spec
+                        if least is not None)
+    got = " and ".join(f"{name}={v}" for (name, _), v in zip(spec, params))
+    return f"{family} needs {need}, got {got}"
 
 
 @dataclass(frozen=True)
@@ -463,8 +476,11 @@ class _SessionParser:
                 raise ParseError(line, 1,
                                  f"unknown corpus family {family!r}")
             params = tuple(p.integer()
-                           for _ in range(CORPUS_FAMILIES[family]))
+                           for _ in CORPUS_FAMILIES[family])
             p.done()
+            problem = corpus_parameter_problem(family, params)
+            if problem:
+                raise ParseError(line, 1, problem)
             return CorpusCmd(family, params)
         raise ParseError(line, 1, f"unknown statement {head!r}")
 

@@ -8,6 +8,12 @@ Every number here is an exact integer.  Coefficient extraction works by
 finite differences in the binomial basis and accepts a value only after two
 overlapping windows agree and the fitted polynomial reproduces the tail of
 the table; there is no interpolation and no tolerance anywhere.
+
+Superficiality is decided exactly when Q is linear and M/QM has finite
+length: a is superficial exactly when its initial form is filter-regular on
+gr_Q(M), which the length-table engine already presents as F/N*.  Only a
+non-linear Q, or one leaving M/QM of infinite length, still goes through a
+heuristic window of colons.
 """
 from __future__ import annotations
 
@@ -18,8 +24,8 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, _hilbert_numerator, finite_colength,
-                       groebner_basis, quotient_dimension,
+from .groebner import (NEG_INF, _hilbert_numerator, debug_verification_enabled,
+                       finite_colength, groebner_basis, quotient_dimension,
                        quotient_total_length)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
@@ -30,8 +36,6 @@ from .modules import (GradedModule, ParameterSequence, _as_poly_list,
 from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_divides,
                    poly_in_position, poly_times_element)
 
-SUPERFICIAL_C_MAX = 3
-SUPERFICIAL_WINDOW = 2
 TABLE_CAP = 64
 
 
@@ -340,16 +344,21 @@ def sectional_genus(module: GradedModule, q) -> int:
 
 def euler_chi1(module: GradedModule, q) -> tuple:
     """(alternating homology sum over spots >= 1, covolume minus
-    multiplicity); computed both ways and required to agree."""
+    multiplicity); computed both ways and required to agree.  Memoized per
+    module and generating set, like the Hilbert coefficients."""
     seq = _sequence_for(module, q)
-    lengths = koszul_homology_lengths(seq)
-    koszul = sum(((-1) ** (i - 1)) * lengths[i] for i in range(1, len(lengths)))
-    serre = seq.covolume() - multiplicity(module, seq.gens)
-    if koszul != serre:
-        raise CrossCheckFailure(
-            f"Euler characteristic mismatch: {koszul} from homology, "
-            f"{serre} from lengths")
-    return koszul, serre
+    key = ("chi1", frozenset(seq.gens))
+    if key not in module._cache:
+        lengths = koszul_homology_lengths(seq)
+        koszul = sum(((-1) ** (i - 1)) * lengths[i]
+                     for i in range(1, len(lengths)))
+        serre = seq.covolume() - multiplicity(module, seq.gens)
+        if koszul != serre:
+            raise CrossCheckFailure(
+                f"Euler characteristic mismatch: {koszul} from homology, "
+                f"{serre} from lengths")
+        module._cache[key] = (koszul, serre)
+    return module._cache[key]
 
 
 # -- homological degree and torsion -------------------------------------------
@@ -425,10 +434,22 @@ class SuperficialityReport:
     witness: str = None
 
 
-def _windowed_superficial(a, module: GradedModule, qgens,
-                          c_max=SUPERFICIAL_C_MAX, window=SUPERFICIAL_WINDOW):
-    """Colon-window test.  Returns (status, start, finite-annihilator
-    presentation or None)."""
+def _annihilator(a, module: GradedModule) -> GradedModule:
+    """(0 :_M a), presented on its own generators."""
+    colon = submodule_colon(module.relations, a)
+    return present_subquotient(module.algebra, list(colon.gb),
+                               module.relations, module.ambient)
+
+
+def _windowed_superficial(a, module: GradedModule, qgens, killed,
+                          c_max=3, window=2):
+    """Colon-window test: (Q^{n+1}M : a) ∩ Q^c M = Q^n M for c <= c_max and
+    a window of n, after refuting on a positive-dimensional annihilator
+    `killed`.  Returns (status, start).  A heuristic, kept only for a Q that
+    is not linear or leaves M/QM of infinite length, where gr_Q(M) is not
+    at hand; ROADMAP item 2 deletes it."""
+    if killed.dimension() > 0:
+        return "refuted", None
     algebra = module.algebra
     bases = {}
 
@@ -439,11 +460,6 @@ def _windowed_superficial(a, module: GradedModule, qgens,
             bases[k] = module.submodule_with(module.ideal_multiples(polys))
         return bases[k]
 
-    colon0 = submodule_colon(module.relations, a)
-    killed = present_subquotient(algebra, list(colon0.gb), module.relations,
-                                 module.ambient)
-    if killed.dimension() > 0:
-        return "refuted", None, killed
     for c in range(1, c_max + 1):
         good = True
         for n in range(c, c + window + 1):
@@ -453,14 +469,94 @@ def _windowed_superficial(a, module: GradedModule, qgens,
                 good = False
                 break
         if good:
-            return "verified", c, killed
-    return "inconclusive", None, killed
+            return "verified", c
+    return "inconclusive", None
+
+
+def _graded_engine(module: GradedModule, gens):
+    """The cached table engine when Q is linear and ℓ(M/QM) is finite, so
+    that gr_Q(M) is at hand; None otherwise."""
+    if not gens or any(q.degree != 1 for q in gens):
+        return None
+    try:
+        eng = _engine(module, gens)
+    except InfiniteLength:
+        return None
+    return eng if eng.linear else None
+
+
+def _initial_module(module: GradedModule, gens):
+    """N* with gr_Q(M) = F/N*, in a plain ambient and in the coordinates of
+    the table engine, where Q = (x_1..x_b).  The tangent-cone order refines
+    the x-adic filtration, so the lowest x-degree forms of its basis
+    generate N*."""
+    key = ("initial", frozenset(gens))
+    if key not in module._cache:
+        eng = _engine(module, gens)
+        b = eng.block
+        F = FreeModule(module.algebra.ring, module.twists)
+        forms = []
+        for g in eng.basis_t.gb:
+            low = min(sum(e[:b]) for _, e in g.terms)
+            forms.append(FreeElement(
+                F, {t: c for t, c in g.terms.items() if sum(t[1][:b]) == low},
+                _checked=True))
+        initial = groebner_basis(F, forms)
+        if _twisted_series(initial) != _twisted_series(module.relations):
+            raise CrossCheckFailure(
+                "the associated graded module changed the Hilbert series")
+        module._cache[key] = initial
+    return module._cache[key]
+
+
+def _graded_superficial(a, module: GradedModule, gens) -> bool:
+    """Exact test for linear Q with ℓ(M/QM) finite: a is superficial for M
+    exactly when its initial form a* is filter-regular on G = gr_Q(M), that
+    is, when (0 :_G a*) = (N* : a*)/N* has finite length.  It has finite
+    length exactly when F/N* and F/(N* : a*) have the same Hilbert
+    polynomial: their numerators over (1-t)^n differ by a multiple of
+    (1-t)^n."""
+    initial = _initial_module(module, gens)
+    colon = submodule_colon(
+        initial, substitute_linear(a, _engine(module, gens).change))
+    if colon == initial:
+        return True
+    diff = _twisted_series(initial)
+    for j, c in _twisted_series(colon).items():
+        diff[j] = diff.get(j, 0) - c
+    low = min(diff, default=0)
+    return all(sum(c * binomial(j - low, k) for j, c in diff.items()) == 0
+               for k in range(module.algebra.ring.nvars))
+
+
+def _superficial_status(a, module: GradedModule, gens, killed=None):
+    """(status, window start) for one element: exact on gr_Q(M) when it is
+    at hand, where under --verify-gb a conclusive colon window must agree;
+    the colon window otherwise.  killed is (0 :_M a), computed here when
+    needed and not supplied."""
+    if _graded_engine(module, gens) is None:
+        if killed is None:
+            killed = _annihilator(a, module)
+        return _windowed_superficial(a, module, gens, killed)
+    exact = _graded_superficial(a, module, gens)
+    if debug_verification_enabled():
+        if killed is None:
+            killed = _annihilator(a, module)
+        window, _ = _windowed_superficial(a, module, gens, killed)
+        if window != "inconclusive" and (window == "verified") != exact:
+            raise CrossCheckFailure(
+                f"the colon window says {window} but the initial form is "
+                f"{'' if exact else 'not '}filter-regular on gr_Q(M)")
+    return ("verified" if exact else "refuted"), None
 
 
 def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
-    """Three-valued windowed test for a single element against the powers of
-    the ideal.  A verified element in dimension >= 2 additionally has its
-    effect on the Hilbert coefficients of the quotient checked exactly."""
+    """Test a single element against the powers of the ideal: refuted when
+    its annihilator has positive dimension, then decided exactly on
+    gr_Q(M) for linear Q with ℓ(M/QM) finite, and by the three-valued
+    colon window otherwise.  A verified element in dimension >= 2
+    additionally has its effect on the Hilbert coefficients of the
+    quotient checked exactly."""
     gens = _gens_for(q)
     algebra = module.algebra
     if not a:
@@ -474,11 +570,16 @@ def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
     if deep.contains(poly_in_position(deep.ambient, a, 0)):
         raise PreconditionViolation(
             "the element lies in the irrelevant multiple of the ideal")
-    status, start, killed = _windowed_superficial(a, module, gens)
-    if status == "refuted":
+    killed = _annihilator(a, module)
+    if killed.dimension() > 0:
         return SuperficialityReport(
             "refuted", witness="the annihilator of the element has dimension "
             f"{killed.dimension()}")
+    status, start = _superficial_status(a, module, gens, killed)
+    if status == "refuted":
+        return SuperficialityReport(
+            "refuted", witness="the initial form of the element is not "
+            "filter-regular on the associated graded module")
     length0 = killed.total_length()
     if status == "verified":
         d = module.dimension()
@@ -539,9 +640,10 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
     """Seeded search for an ordering and change of generators that passes
     the colon test.  Each attempt draws one invertible scalar matrix per
     generator degree, then orders the new generators greedily so that every
-    prefix element passes the windowed superficiality screen on the
-    successive quotients.  The transcript of attempts rides along on the
-    returned sequence for replay."""
+    prefix element is superficial on the successive quotients: decided
+    exactly on gr_Q for linear Q, screened by the colon window otherwise,
+    where an inconclusive candidate is the fallback.  The transcript of
+    attempts rides along on the returned sequence for replay."""
     seq = _sequence_for(module, q)
     d = seq.count
     if d < 1:
@@ -604,10 +706,11 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
                 if (want == 0 and dim_after not in (NEG_INF, 0)) or \
                         (want > 0 and dim_after != want):
                     continue
-                status, _, _ = _windowed_superficial(cand, current, seq.gens)
+                status, _ = _superficial_status(cand, current, seq.gens)
                 if status == "verified":
                     pick = idx
                     break
+                # only the colon window, for a non-linear Q, is inconclusive
                 if status == "inconclusive" and fallback is None:
                     fallback = idx
             if pick is None:

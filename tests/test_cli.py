@@ -258,6 +258,49 @@ def test_corpus_usage_errors(capsys, tmp_path):
     assert shell(capsys, ["corpus", "--config", str(bad)])[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("family, params", [
+    ("example44", ["1", "1"]), ("example44", ["2", "0"]), ("example42", ["0"]),
+])
+def test_out_of_range_corpus_parameters_exit_two(capsys, tmp_path, family,
+                                                 params):
+    # as a session line, as shell arguments and in a config file: rejected
+    # as input before anything is built
+    path = tmp_path / "bad.ses"
+    path.write_text(f"prime 32003\ncorpus {family} {' '.join(params)}\n")
+    code, out, err = shell(capsys, ["run", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "ParseError" in err and f"{family} needs" in err
+    code, out, err = shell(capsys, ["corpus", family] + params)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{family} needs" in err and "Traceback" not in err
+    config = tmp_path / "grid.json"
+    value = [int(v) for v in params]
+    config.write_text(json.dumps({family: [value if len(value) > 1
+                                           else value[0]]}))
+    code, out, err = shell(capsys, ["corpus", "--config", str(config)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{family} needs" in err
+
+
+def test_euler_characteristic_homology_once_per_pair(monkeypatch):
+    from genuslab import invariants
+    calls = []
+    original = invariants.koszul_homology_lengths
+
+    def counted(seq, *args):
+        calls.append((id(seq.module), frozenset(seq.gens)))
+        return original(seq, *args)
+
+    monkeypatch.setattr(invariants, "koszul_homology_lengths", counted)
+    session = parse_session(
+        "ring R = vars x y z\nideal I = x^2, x*y\nalgebra A = R / I\n"
+        "sequence Q = z, y\ncompute invariants A Q\n"
+        "check inequalities A Q\n")
+    _, code = run(session, RunFlags(no_timings=True))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_injected_golden_mismatch_is_flagged():
     good = example42_descriptor(3)
     bad = InstanceDescriptor("example42", {"d": 2, "prime": 32003},

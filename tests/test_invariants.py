@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from genuslab import invariants
 from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              NoStabilization, NotFoundWithinBudget,
                              NotGeneralizedCM, PreconditionViolation)
+from genuslab.groebner import quotient_total_length, set_debug_verification
 from genuslab.homology import dual_sections
-from genuslab.invariants import (LengthTable, _TableEngine, check_prop38,
+from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
+                                 _graded_engine, _graded_superficial,
+                                 _windowed_superficial, check_prop38,
                                  check_theorem34, euler_chi1,
                                  find_d_sequence_generators, hdeg,
                                  hilbert_coefficients, hilbert_samuel_table,
@@ -20,9 +24,10 @@ from genuslab.invariants import (LengthTable, _TableEngine, check_prop38,
                                  is_d_sequence, is_superficial, multiplicity,
                                  module_coefficients, sectional_genus,
                                  sv_invariant, torsion)
-from genuslab.groebner import quotient_total_length
-from genuslab.modules import GradedAlgebra, ParameterSequence, ideal_power
-from genuslab.ring import PolyRing, binomial
+from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
+                              ideal_power)
+from genuslab.ring import (FreeElement, FreeModule, PolyRing, binomial,
+                           poly_times_element)
 
 
 def algebra(names, relations=(), p=32003):
@@ -291,6 +296,88 @@ def test_superficial_refuted():
     rep = is_superficial(x, M, (x,))
     assert rep.status == "refuted"
     assert rep.witness is not None
+
+
+def _skew_twist_module():
+    # coker of S(-2) -> S ⊕ S(-1), 1 |-> (-y^2, x), over k[x,y]; the module
+    # is the ideal (x, y^2), so x is a nonzerodivisor, but the relation's
+    # initial form x·e2 kills e2 in gr_Q(M)
+    A, (x, y) = algebra("xy")
+    F = FreeModule(A.ring, (0, 1))
+    rel = FreeElement(F, {(1, (1, 0)): 1, (0, (0, 2)): -1})
+    return GradedModule(A, (0, 1), [rel]), x, y
+
+
+def test_superficiality_against_the_window():
+    # wherever the colon window is conclusive, the exact test agrees
+    compared = 0
+    for seed in range(60):
+        module, seq = random_instance(seed)
+        for a in seq.gens:
+            exact = _graded_superficial(a, module, seq.gens)
+            window, _ = _windowed_superficial(a, module, seq.gens,
+                                              _annihilator(a, module))
+            if window != "inconclusive":
+                assert exact == (window == "verified"), (seed, str(a))
+                compared += 1
+    assert compared >= 100
+
+
+def test_nonzerodivisor_that_is_not_superficial():
+    M, x, y = _skew_twist_module()
+    rep = is_superficial(x, M, (x, y))
+    assert rep.status == "refuted"
+    assert "filter-regular" in rep.witness
+    assert _annihilator(x, M).total_length() == 0
+    # by the definition: y^n e2 lies in Q^n M and x·y^n e2 = y^{n+2} e1 in
+    # Q^{n+2} M, but y^n e2 is not in Q^{n+1} M, for every n
+    level = lambda k: M.submodule_with(M.ideal_multiples(
+        [g.component(0) for g in ideal_power(M.algebra, [x, y], k).gb]))
+    e2 = M.ambient.generator(1)
+    for n in range(1, 5):
+        m = poly_times_element(y ** n, e2)
+        assert level(n + 2).contains(poly_times_element(x, m))
+        assert not level(n + 1).contains(m)
+    # and the second coefficient moves across x although nothing is killed
+    assert (module_coefficients(M, (x, y)).e[1]
+            != module_coefficients(M.quotient_by_ideal([x]), (x, y)).e[1])
+    assert _windowed_superficial(x, M, (x, y), _annihilator(x, M),
+                                 c_max=6)[0] == "inconclusive"
+    assert is_superficial(y, M, (x, y)).status == "verified"
+
+
+def test_wider_window_confirms_random_38():
+    # the default window (c <= 3) cannot decide either generator; one up to
+    # c = 6 verifies both, as the exact test does
+    module, seq = random_instance(38)
+    for a in seq.gens:
+        killed = _annihilator(a, module)
+        assert _windowed_superficial(a, module, seq.gens, killed)[0] \
+            == "inconclusive"
+        assert _windowed_superficial(a, module, seq.gens, killed,
+                                     c_max=6)[0] == "verified"
+        assert is_superficial(a, module, seq.gens).status == "verified"
+
+
+def test_verify_gb_cross_checks_the_window(monkeypatch):
+    M, x, y = _skew_twist_module()
+    monkeypatch.setattr(invariants, "_windowed_superficial",
+                        lambda *args, **kw: ("verified", 1))
+    assert is_superficial(x, M, (x, y)).status == "refuted"
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure):
+            is_superficial(x, M, (x, y))
+    finally:
+        set_debug_verification(False)
+
+
+def test_nonlinear_ideal_keeps_the_window(line_with_spike):
+    M, x, y = line_with_spike
+    assert _graded_engine(M, (y * y,)) is None
+    assert _graded_engine(M, (y,)) is not None
+    rep = is_superficial(y * y, M, (y * y,))
+    assert rep.status == "verified" and rep.window_start == 1
 
 
 # -- d-sequences --------------------------------------------------------------

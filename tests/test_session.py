@@ -124,6 +124,8 @@ def test_expression_print_parse_identity(tree):
     ("prime 4\nring R = vars x\n", 2),
     ("ring R = vars x\nideal I = x\ncheck frobnicate R I\n", 3),
     ("corpus unknown44 2 1\n", 1),
+    ("prime 32003\ncorpus example44 1 1\n", 2),
+    ("corpus example42 0\n", 1),
     ("ring R = vars x\nideal I = x,\n", 2),
     ("ring R = vars x\nideal I = x x\n", 2),
     ("ring R = vars x y\nideal I = x^2\nalgebra S = R / I\n"
