@@ -364,7 +364,12 @@ def _corpus_grid_from_args(args) -> tuple:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-        return config_to_grid(config)
+        try:
+            return config_to_grid(config)
+        except (TypeError, IndexError, AttributeError) as err:
+            # config_to_grid builds descriptors only, so these come from
+            # entries of the wrong shape
+            raise ValueError(f"malformed grid description: {err}") from err
     return default_grid(args.random_seeds)
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import genuslab
-from genuslab import cli
+from genuslab import cli, invariants
 from genuslab.cli import (EXIT_CHECK_FAILED, EXIT_ENGINE, EXIT_OK, EXIT_USAGE,
                           RunFlags, config_to_grid, corpus_run, main, run)
 from genuslab.corpus import InstanceDescriptor, example42_descriptor
@@ -282,8 +282,20 @@ def test_out_of_range_corpus_parameters_exit_two(capsys, tmp_path, family,
     assert f"{family} needs" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"example44": [[2]]}, {"example44": 5}, {"example42": [None]}, ["example42"],
+])
+def test_malformed_config_exits_two(capsys, tmp_path, config):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    code, out, err = shell(capsys, ["corpus", "--config", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "malformed grid description" in err
+
+
 def test_euler_characteristic_homology_once_per_pair(monkeypatch):
-    from genuslab import invariants
+    # one compute invariants plus one check inequalities share the Koszul
+    # homology of their (module, Q) pair
     calls = []
     original = invariants.koszul_homology_lengths
 
@@ -298,7 +310,7 @@ def test_euler_characteristic_homology_once_per_pair(monkeypatch):
         "check inequalities A Q\n")
     _, code = run(session, RunFlags(no_timings=True))
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == len(set(calls)) == 1
 
 
 def test_injected_golden_mismatch_is_flagged():
