@@ -14,14 +14,17 @@ module to a presented module, computed with a block order in which target
 positions dominate tracking positions.
 
 Standard monomials are counted, never listed, through the Hilbert numerator
-of the lead monomials: Hilbert function values, finite lengths and the
-length-table slices all come from that one kernel.
+of the lead monomials.  Hilbert function values and the length-table slices
+come from that one kernel.  So do the Krull dimension and every finite
+length: the dimension is the pole order at t = 1 of the Hilbert series, and
+once that pole is gone the length is the value at t = 1 (Bruns-Herzog,
+Cohen-Macaulay Rings, 4.1).
 """
 from __future__ import annotations
 
 import heapq
 
-from .errors import CrossCheckFailure, InfiniteLength, PreconditionViolation
+from .errors import CrossCheckFailure, InfiniteLength
 from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_div,
                    mono_divides, mono_lcm)
 
@@ -195,10 +198,6 @@ class BuchbergerState:
             if nf:
                 self._append(nf.monic())
 
-    @property
-    def complete(self) -> bool:
-        return not self.pairs
-
     def leads_by_position(self) -> dict:
         out = {}
         for pos, lst in self.by_pos.items():
@@ -241,14 +240,13 @@ class SubmoduleBasis:
     submodules iff their gb tuples match.
     """
 
-    __slots__ = ("ambient", "gens", "gb", "_index", "_cache")
+    __slots__ = ("ambient", "gens", "gb", "_index")
 
     def __init__(self, ambient: FreeModule, gens, gb):
         self.ambient = ambient
         self.gens = tuple(gens)
         self.gb = tuple(gb)
         self._index = None
-        self._cache = {}
 
     @classmethod
     def zero(cls, ambient: FreeModule) -> "SubmoduleBasis":
@@ -315,10 +313,6 @@ def groebner_basis(ambient: FreeModule, gens, *, assume_reduced_prefix: int = 0,
     if _DEBUG_VERIFY:
         verify_basis(basis)
     return basis
-
-
-def normal_form(v: FreeElement, basis: SubmoduleBasis) -> FreeElement:
-    return basis.normal_form(v)
 
 
 def verify_basis(basis: SubmoduleBasis) -> None:
@@ -392,9 +386,9 @@ def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
 
 # -- standard monomial counting ----------------------------------------------
 # One mechanism: the Hilbert numerator of a monomial ideal, by the pivot
-# recursion of Bayer-Stillman and Bigatti.  A Hilbert function value, a
-# cumulative count and the total length of a finite quotient are all read off
-# the numerator; no monomial is ever listed.
+# recursion of Bayer-Stillman and Bigatti.  A Hilbert function value, the
+# Krull dimension and the length of a finite quotient are all read off the
+# numerator; no monomial is ever listed.
 
 def _minimal_leads(leads):
     out = []
@@ -464,73 +458,69 @@ def _series_value(num: dict, n: int, t: int) -> int:
                for j, c in num.items() if j <= t)
 
 
-def _series_cumulative(num: dict, n: int, top: int) -> int:
-    """Sum of the series values in degrees 0..top."""
-    if top < 0:
-        return 0
-    return sum(c * binomial(top - j + n, n) for j, c in num.items() if j <= top)
-
-
 def count_standard_monomials(leads, n: int, d: int) -> int:
     """Monomials of degree d in n variables outside the monomial ideal
     generated by `leads`."""
     return _series_value(_hilbert_numerator(tuple(leads), n), n, d)
 
 
+def hilbert_series(basis: SubmoduleBasis) -> dict:
+    """Numerator over (1-t)^nvars of the Hilbert series of ambient/basis:
+    the per-position numerators of the lead monomials, shifted by the
+    twists and summed.  A fresh dict on each call."""
+    n = basis.ambient.ring.nvars
+    leads = basis.leads_by_position()
+    out = {}
+    for pos, twist in enumerate(basis.ambient.twists):
+        for j, c in _hilbert_numerator(tuple(leads.get(pos, ())), n).items():
+            out[j + twist] = out.get(j + twist, 0) + c
+    return {j: c for j, c in out.items() if c}
+
+
+def series_dimension(num: dict, n: int):
+    """(d, e) for the series num/(1-t)^n of a graded module: d is the pole
+    order at t = 1, the Krull dimension, and e = h(1) for the numerator h
+    of the series over (1-t)^d, the multiplicity, which for d = 0 is the
+    length.  (-inf, 0) for the zero series.
+
+    While the coefficients of the numerator sum to 0 it is divisible by
+    1-t; the quotient's coefficients are the numerator's prefix sums.  A
+    nonzero series that needs d < 0 is no Hilbert series:
+    CrossCheckFailure."""
+    if not any(num.values()):
+        return NEG_INF, 0
+    low = min(num)
+    coeffs = [num.get(j, 0) for j in range(low, max(num) + 1)]
+    d = n
+    while sum(coeffs) == 0:
+        if d == 0:
+            raise CrossCheckFailure(
+                "a nonzero Hilbert series vanishes at t = 1 without a pole")
+        acc, quo = 0, []
+        for c in coeffs[:-1]:
+            acc += c
+            quo.append(acc)
+        coeffs = quo
+        d -= 1
+    return d, sum(coeffs)
+
+
 def finite_colength(leads, n: int) -> int:
     """Monomials in n variables outside the monomial ideal generated by
-    `leads`, which must have finite colength.  The series is then a
-    polynomial, of degree at most that of its numerator, and the count is
-    its value at t = 1; CrossCheckFailure when the series does not end."""
-    num = _hilbert_numerator(tuple(leads), n)
-    top = max(num, default=-1)
-    if _series_value(num, n, top + 1):
+    `leads`, which must have finite colength: the series then has no pole,
+    and the count is its value at t = 1.  CrossCheckFailure when the series
+    does not end."""
+    d, e = series_dimension(_hilbert_numerator(tuple(leads), n), n)
+    if d > 0:
         raise CrossCheckFailure(
             "finite colength expected, but the Hilbert series does not end")
-    return _series_cumulative(num, n, top)
-
-
-def _monomial_ring_dimension(supports, n: int):
-    """dim S/J for a monomial ideal with the given generator supports."""
-    for s in supports:
-        if not s:
-            return NEG_INF  # a unit generator
-    masks = []
-    for s in supports:
-        m = 0
-        for i in s:
-            m |= 1 << i
-        masks.append(m)
-    best = -1
-    for u in range(1 << n):
-        alive = True
-        for m in masks:
-            if m & ~u == 0:
-                alive = False
-                break
-        if alive:
-            c = bin(u).count("1")
-            if c > best:
-                best = c
-    return best
+    return e
 
 
 def quotient_dimension(basis: SubmoduleBasis):
-    """Krull dimension of ambient/basis, read off the lead monomial module.
-    -inf for the zero quotient."""
-    n = basis.ambient.ring.nvars
-    if n > 16:
-        raise PreconditionViolation(
-            "dimension combinatorics capped at 16 variables")
-    leads = basis.leads_by_position()
-    best = NEG_INF
-    for pos in range(basis.ambient.rank):
-        sup = [frozenset(i for i, a in enumerate(e) if a)
-               for e in leads.get(pos, ())]
-        d = _monomial_ring_dimension(sup, n)
-        if d != NEG_INF and d > best:
-            best = d
-    return best
+    """Krull dimension of ambient/basis: the pole order at t = 1 of its
+    Hilbert series.  -inf for the zero quotient."""
+    return series_dimension(hilbert_series(basis), basis.ambient.ring.nvars)[0]
 
 
 def quotient_hilbert_function(basis: SubmoduleBasis, t: int) -> int:
@@ -539,15 +529,7 @@ def quotient_hilbert_function(basis: SubmoduleBasis, t: int) -> int:
 
 def quotient_total_length(basis: SubmoduleBasis) -> int:
     """Length of ambient/basis; InfiniteLength when the dimension is > 0."""
-    ambient = basis.ambient
-    if ambient.rank == 0:
-        return 0
-    dim = quotient_dimension(basis)
-    if dim == NEG_INF:
-        return 0
-    if dim > 0:
-        raise InfiniteLength(f"quotient has dimension {dim}")
-    n = ambient.ring.nvars
-    leads = basis.leads_by_position()
-    return sum(finite_colength(leads.get(pos, ()), n)
-               for pos in range(ambient.rank))
+    d, e = series_dimension(hilbert_series(basis), basis.ambient.ring.nvars)
+    if d > 0:
+        raise InfiniteLength(f"quotient has dimension {d}")
+    return e

@@ -24,9 +24,9 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, _hilbert_numerator, debug_verification_enabled,
-                       finite_colength, groebner_basis, quotient_dimension,
-                       quotient_total_length)
+from .groebner import (NEG_INF, debug_verification_enabled, finite_colength,
+                       groebner_basis, hilbert_series, quotient_dimension,
+                       quotient_total_length, series_dimension)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       complete_to_invertible, echelon_insert, ideal_power,
@@ -56,19 +56,6 @@ def _ring_ideal_basis(algebra, polys):
     gens = [poly_in_position(F1, f, 0)
             for f in list(polys) + list(algebra.ideal_gens) if f]
     return groebner_basis(F1, gens)
-
-
-def _twisted_series(basis) -> dict:
-    """Numerator over (1-t)^nvars of the Hilbert series of ambient/basis:
-    the per-position numerators of the lead monomials, shifted by the
-    twists and summed."""
-    n = basis.ambient.ring.nvars
-    leads = basis.leads_by_position()
-    out = {}
-    for pos, twist in enumerate(basis.ambient.twists):
-        for j, c in _hilbert_numerator(tuple(leads.get(pos, ())), n).items():
-            out[j + twist] = out.get(j + twist, 0) + c
-    return {j: c for j, c in out.items() if c}
 
 
 # -- the length table ---------------------------------------------------------
@@ -133,8 +120,8 @@ class _TableEngine:
                              _checked=True)
                  for g in self.module.relations.gb]
         self.basis_t = groebner_basis(F, moved)
-        if (_twisted_series(self.basis_t)
-                != _twisted_series(self.module.relations)):
+        if (hilbert_series(self.basis_t)
+                != hilbert_series(self.module.relations)):
             raise CrossCheckFailure(
                 "tangent-cone basis changed the Hilbert series")
         b = self.block
@@ -502,7 +489,7 @@ def _initial_module(module: GradedModule, gens):
                 F, {t: c for t, c in g.terms.items() if sum(t[1][:b]) == low},
                 _checked=True))
         initial = groebner_basis(F, forms)
-        if _twisted_series(initial) != _twisted_series(module.relations):
+        if hilbert_series(initial) != hilbert_series(module.relations):
             raise CrossCheckFailure(
                 "the associated graded module changed the Hilbert series")
         module._cache[key] = initial
@@ -512,21 +499,18 @@ def _initial_module(module: GradedModule, gens):
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
     """Exact test for linear Q with ℓ(M/QM) finite: a is superficial for M
     exactly when its initial form a* is filter-regular on G = gr_Q(M), that
-    is, when (0 :_G a*) = (N* : a*)/N* has finite length.  It has finite
-    length exactly when F/N* and F/(N* : a*) have the same Hilbert
-    polynomial: their numerators over (1-t)^n differ by a multiple of
-    (1-t)^n."""
+    is, when (0 :_G a*) = (N* : a*)/N* has finite length.  Its Hilbert
+    series is that of F/N* minus that of F/(N* : a*), and it has finite
+    length exactly when that series has no pole at t = 1."""
     initial = _initial_module(module, gens)
     colon = submodule_colon(
         initial, substitute_linear(a, _engine(module, gens).change))
     if colon == initial:
         return True
-    diff = _twisted_series(initial)
-    for j, c in _twisted_series(colon).items():
+    diff = hilbert_series(initial)
+    for j, c in hilbert_series(colon).items():
         diff[j] = diff.get(j, 0) - c
-    low = min(diff, default=0)
-    return all(sum(c * binomial(j - low, k) for j, c in diff.items()) == 0
-               for k in range(module.algebra.ring.nvars))
+    return series_dimension(diff, module.algebra.ring.nvars)[0] <= 0
 
 
 def _superficial_status(a, module: GradedModule, gens, killed=None):
@@ -697,10 +681,11 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
         for step in range(d):
             pick = None
             fallback = None
+            screened = {}  # quotients built while screening, reused for the pick
             for idx, cand in enumerate(remaining):
                 if deep.contains(poly_in_position(deep.ambient, cand, 0)):
                     continue
-                after = current.quotient_by_ideal([cand])
+                after = screened[idx] = current.quotient_by_ideal([cand])
                 want = d - step - 1
                 dim_after = after.dimension()
                 if (want == 0 and dim_after not in (NEG_INF, 0)) or \
@@ -718,9 +703,8 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
             if pick is None:
                 stuck = step
                 break
-            cand = remaining.pop(pick)
-            chosen.append(cand)
-            current = current.quotient_by_ideal([cand])
+            chosen.append(remaining.pop(pick))
+            current = screened[pick]
         if stuck is not None:
             entry["outcome"] = f"no screened candidate at step {stuck}"
             transcript.append(entry)

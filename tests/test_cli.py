@@ -134,16 +134,18 @@ def test_bad_sessions_exit_two(capsys, tmp_path, text):
     assert err.strip()
 
 
-def test_wide_ring_is_an_engine_error(capsys, tmp_path):
-    # seventeen variables exceed the dimension combinatorics: a structured
-    # error and exit 3, not a traceback
+def test_wide_ring_dimension_is_computed(capsys, tmp_path):
+    # seventeen variables have no cap: the dimension of k[a..q]/(a^2) is
+    # computed as 16, so two parameters are a precondition error, exit 3
     path = tmp_path / "wide.ses"
     path.write_text("ring R = vars a b c d e f g h i j k l m n o p q\n"
                     "ideal I = a^2\nalgebra A = R / I\nsequence Q = a, b\n"
                     "compute invariants A Q\n")
     code, agg, _ = run_json(capsys, ["run", str(path), "--no-timings"])
     assert code == EXIT_ENGINE
-    assert agg["reports"][0]["error"]["type"] == "PreconditionViolation"
+    assert agg["reports"][0]["error"] == {
+        "type": "PreconditionViolation",
+        "message": "module has dimension 16, got 2 parameters"}
 
 
 def _boom(*args, **kwargs):

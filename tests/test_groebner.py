@@ -9,9 +9,11 @@ from genuslab.groebner import (BuchbergerState, NEG_INF, SubmoduleBasis,
                                count_standard_monomials, finite_colength,
                                groebner_basis, kernel_of_map,
                                quotient_dimension, quotient_total_length,
-                               set_debug_verification, syzygies, verify_basis)
-from genuslab.ring import (FreeModule, PolyRing, element_from_components,
-                           mono_divides, poly_in_position, poly_times_element)
+                               series_dimension, set_debug_verification,
+                               syzygies, verify_basis)
+from genuslab.ring import (FreeElement, FreeModule, PolyRing,
+                           element_from_components, mono_divides,
+                           poly_in_position, poly_times_element)
 
 from oracle_battery import run_battery
 
@@ -120,6 +122,89 @@ def test_quotient_dimension_cases():
     assert quotient_dimension(ideal_basis(R, [x * x, x * y])) == 1
     assert quotient_dimension(ideal_basis(R, [])) == 2
     assert quotient_dimension(ideal_basis(R, [R.constant(1)])) == NEG_INF
+
+
+def test_series_dimension_cases():
+    assert series_dimension({}, 3) == (NEG_INF, 0)
+    assert series_dimension({2: 0, 5: 0}, 3) == (NEG_INF, 0)
+    assert series_dimension({0: 1}, 2) == (2, 1)  # k[x, y]
+    assert series_dimension({0: 1}, 0) == (0, 1)  # k
+    assert series_dimension({0: 1, 2: -1}, 2) == (1, 2)  # k[x, y]/(x^2)
+    assert series_dimension({0: 1, 2: -2, 4: 1}, 2) == (0, 4)  # (x^2, y^2)
+    assert series_dimension({-1: 1, 0: 1}, 1) == (1, 2)  # twists -1 and 0
+    assert series_dimension({0: 1, 1: -3, 2: 3, 3: -1}, 3) == (0, 1)
+    with pytest.raises(CrossCheckFailure):
+        series_dimension({0: 1, 1: -1}, 0)  # 1 - t is no Hilbert series
+    with pytest.raises(CrossCheckFailure):
+        series_dimension({0: 1, 1: -2, 2: 1}, 1)  # (1 - t)^2 over (1 - t)
+
+
+def monomial_basis(nvars, twists, leads_by_pos):
+    F = FreeModule(PolyRing(tuple(f"v{i}" for i in range(nvars))), twists)
+    return groebner_basis(F, [FreeElement(F, {(pos, e): 1})
+                              for pos, leads in enumerate(leads_by_pos)
+                              for e in leads])
+
+
+def squares(n, k):
+    return [tuple(2 if i == j else 0 for i in range(n)) for j in range(k)]
+
+
+@pytest.mark.parametrize("n, k", [(17, 1), (17, 17), (20, 1), (20, 17),
+                                  (20, 20)])
+def test_wide_ring_closed_forms(n, k):
+    # k of n variables squared: dimension n - k, and length 2^n for k = n;
+    # there is no cap on the number of variables
+    b = monomial_basis(n, (0,), [squares(n, k)])
+    assert quotient_dimension(b) == n - k
+    if k == n:
+        assert quotient_total_length(b) == 2 ** n
+
+
+def support_scan_dimension(nvars, leads_by_pos):
+    """dim F/N for a monomial module: the most variables a subset can hold
+    while no generator of some position is supported inside it."""
+    best = NEG_INF
+    for leads in leads_by_pos:
+        masks = [sum(1 << i for i, a in enumerate(e) if a) for e in leads]
+        if 0 in masks:
+            continue  # a unit: this position contributes nothing
+        for u in range(1 << nvars):
+            if all(m & ~u for m in masks):
+                best = max(best, bin(u).count("1"))
+    return best
+
+
+@st.composite
+def monomial_modules(draw):
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 2))
+    twists = tuple(draw(st.lists(st.integers(-2, 2), min_size=rank,
+                                 max_size=rank)))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    leads = []
+    for _ in range(rank):
+        pos = draw(st.lists(exps, max_size=5))
+        if draw(st.booleans()):
+            pos.append((0,) * n)  # a unit, so the zero quotient occurs
+        leads.append(pos)
+    return n, twists, leads
+
+
+@given(monomial_modules())
+@settings(max_examples=200, deadline=None)
+def test_quotient_dimension_against_support_scan(case):
+    n, twists, leads = case
+    b = monomial_basis(n, twists, leads)
+    want = support_scan_dimension(n, leads)
+    assert quotient_dimension(b) == want
+    if want <= 0:
+        top = 2 * n + 3  # every exponent is at most 2
+        listed = sum(b.standard_monomial_count(t) for t in range(-3, top))
+        assert quotient_total_length(b) == listed
+    else:
+        with pytest.raises(InfiniteLength):
+            quotient_total_length(b)
 
 
 def test_quotient_lengths():
