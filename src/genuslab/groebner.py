@@ -8,10 +8,22 @@ processed degree by degree, lowest first.  The engine works for any module
 order the ambient's term_key defines: degrevlex, the elimination block order,
 or the tangent-cone order used for length tables.
 
+Each basis element is kept as its lead, its tail (every other term) and a
+bit mask of the variables in its lead.  A candidate reducer is rejected on
+the mask before its exponents are compared (Bachmann-Schoenemann, ISSAC
+1998), S-pairs are built from the two shifted tails, since the monic leads
+cancel, and reduction walks only the reducer's tail.  A reduction fills its
+output largest term first, so the lead of every new element is carried in,
+never searched for.
+
 Kernel computations (syzygies, colons, intersections, presentations of
 subquotients) all reduce to one primitive: the kernel of a map from a free
 module to a presented module, computed with a block order in which target
-positions dominate tracking positions.
+positions dominate tracking positions.  Under that order an element whose
+lead lies in the tracking block lies there entirely, and those elements of
+the finished Buchberger run form a basis of the kernel; only they are
+interreduced.  The reduced basis is unique, so this is the kernel's reduced
+basis, the same as the tracking part of the whole module's reduced basis.
 
 Standard monomials are counted, never listed, through the Hilbert numerator
 of the lead monomials.  Hilbert function values and the length-table slices
@@ -26,7 +38,7 @@ import heapq
 
 from .errors import CrossCheckFailure, InfiniteLength
 from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_div,
-                   mono_divides, mono_lcm)
+                   mono_divides, mono_lcm, mono_mask)
 
 NEG_INF = float("-inf")
 
@@ -56,7 +68,9 @@ class BuchbergerState:
                  build_pairs: bool = True):
         self.ambient = ambient
         self.basis = []
-        self.by_pos = {}
+        self.by_pos = {}         # pos -> [(lead degree, lead exps, mask, index)]
+        self.leads = []
+        self.tails = []          # per element, its terms but the lead
         self.pairs = []
         self.pending = set()
         self.prefix = assume_reduced_prefix
@@ -76,21 +90,26 @@ class BuchbergerState:
     # -- basis bookkeeping
 
     def _append(self, g: FreeElement) -> None:
+        """Add the monic element g, with its lead, its tail (every term but
+        the lead) and the divisibility mask of its lead."""
         idx = len(self.basis)
         self.basis.append(g)
-        (pos, exps), _ = g.lead_term()
-        single = len(g.terms) == 1
-        self.by_pos.setdefault(pos, []).append((mono_deg(exps), exps, idx))
+        lead, _ = g.lead_term()
+        pos, exps = lead
+        mask = mono_mask(exps)
+        tail = [(t, c) for t, c in g.terms.items() if t != lead]
+        self.leads.append(lead)
+        self.tails.append(tail)
+        self.by_pos.setdefault(pos, []).append((mono_deg(exps), exps, mask, idx))
         if not self.build_pairs:
             return
         rank1 = self.ambient.rank == 1 and self.ambient.elim_rank == 0
-        for dj, ej, j in self.by_pos[pos][:-1]:
-            gj = self.basis[j]
-            if single and len(gj.terms) == 1:
+        for dj, ej, mj, j in self.by_pos[pos][:-1]:
+            if not tail and not self.tails[j]:
                 continue  # S-pair of two terms cancels identically
             if idx < self.prefix and j < self.prefix:
                 continue
-            if rank1 and all(a == 0 or b == 0 for a, b in zip(exps, ej)):
+            if rank1 and not mask & mj:
                 continue  # coprime leads, valid for ideals only
             lcm = mono_lcm(exps, ej)
             pair = (j, idx)
@@ -99,48 +118,50 @@ class BuchbergerState:
                            (mono_deg(lcm) + self.ambient.twists[pos], j, idx))
 
     def find_reducer(self, t):
+        """Index of the first basis element whose lead divides the term t,
+        or None."""
         pos, exps = t
         lst = self.by_pos.get(pos)
         if not lst:
             return None
         d = mono_deg(exps)
-        for dg, eg, idx in lst:
-            if dg <= d and mono_divides(eg, exps):
-                return eg, self.basis[idx]
+        miss = ~mono_mask(exps)
+        for dg, eg, mg, idx in lst:
+            if dg <= d and not mg & miss and mono_divides(eg, exps):
+                return idx
         return None
 
     # -- reduction
 
     def _reduce_dict(self, work: dict) -> dict:
+        """Normal form of the element `work` (consumed), as a dict filled
+        largest term first: its first key is the lead."""
         ambient = self.ambient
         p = ambient.ring.prime
-        heap = [(ambient.heap_key(t), t) for t in work]
+        heap_key = ambient.heap_key
+        heap = [(heap_key(t), t) for t in work]
         heapq.heapify(heap)
+        leads, tails = self.leads, self.tails
         out = {}
         while heap:
             _, t = heapq.heappop(heap)
-            c = work.get(t)
+            c = work.pop(t, None)
             if c is None:
                 continue  # cancelled or stale entry
-            red = self.find_reducer(t)
-            if red is None:
+            idx = self.find_reducer(t)
+            if idx is None:
                 out[t] = c
-                del work[t]
                 continue
-            lead_exps, g = red
-            del work[t]
-            shift = mono_div(t[1], lead_exps)
-            pos0 = t[0]
-            for (pos2, e2), c2 in g.terms.items():
-                if pos2 == pos0 and e2 == lead_exps:
-                    continue  # the lead cancels against t exactly, g is monic
+            # the reducer is monic, so its lead cancels t exactly
+            shift = mono_div(t[1], leads[idx][1])
+            for (pos2, e2), c2 in tails[idx]:
                 nt = (pos2, tuple(x + y for x, y in zip(e2, shift)))
                 old = work.get(nt)
                 if old is None:
                     v = (-c * c2) % p
                     if v:
                         work[nt] = v
-                        heapq.heappush(heap, (ambient.heap_key(nt), nt))
+                        heapq.heappush(heap, (heap_key(nt), nt))
                 else:
                     v = (old - c * c2) % p
                     if v:
@@ -149,23 +170,26 @@ class BuchbergerState:
                         del work[nt]
         return out
 
+    def _element(self, terms: dict) -> FreeElement:
+        """A reduced dict as an element; its first key is the lead."""
+        return FreeElement(self.ambient, terms, _checked=True,
+                           _lead=next(iter(terms), None))
+
     def normal_form(self, v: FreeElement) -> FreeElement:
         if not v:
             return v
-        return FreeElement(self.ambient, self._reduce_dict(dict(v.terms)),
-                           _checked=True)
+        return self._element(self._reduce_dict(dict(v.terms)))
 
     # -- pair processing
 
     def _chain_skip(self, i: int, j: int) -> bool:
-        gi, gj = self.basis[i], self.basis[j]
-        (pos, ei), _ = gi.lead_term()
-        (_, ej), _ = gj.lead_term()
-        lcm = mono_lcm(ei, ej)
-        for _, ek, k in self.by_pos[pos]:
+        pos, ei = self.leads[i]
+        lcm = mono_lcm(ei, self.leads[j][1])
+        miss = ~mono_mask(lcm)
+        for _, ek, mk, k in self.by_pos[pos]:
             if k == i or k == j:
                 continue
-            if not mono_divides(ek, lcm):
+            if mk & miss or not mono_divides(ek, lcm):
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -173,12 +197,24 @@ class BuchbergerState:
                 return True
         return False
 
-    def _spoly(self, i: int, j: int) -> FreeElement:
-        gi, gj = self.basis[i], self.basis[j]
-        (_, ei), _ = gi.lead_term()
-        (_, ej), _ = gj.lead_term()
+    def _spair(self, i: int, j: int) -> dict:
+        """The S-pair of basis elements i and j as a work dict, built from
+        the two shifted tails: both elements are monic, so their shifted
+        leads cancel."""
+        ei, ej = self.leads[i][1], self.leads[j][1]
         lcm = mono_lcm(ei, ej)
-        return gi.shifted(mono_div(lcm, ei)) - gj.shifted(mono_div(lcm, ej))
+        si, sj = mono_div(lcm, ei), mono_div(lcm, ej)
+        p = self.ambient.ring.prime
+        work = {(pos, tuple(x + y for x, y in zip(e, si))): c
+                for (pos, e), c in self.tails[i]}
+        for (pos, e), c in self.tails[j]:
+            nt = (pos, tuple(x + y for x, y in zip(e, sj)))
+            v = (work.get(nt, 0) - c) % p
+            if v:
+                work[nt] = v
+            else:
+                work.pop(nt, None)
+        return work
 
     def process(self, until=None) -> None:
         """Run until the pair queue is empty, or only pairs of degree > until
@@ -192,16 +228,14 @@ class BuchbergerState:
             self.pending.discard((i, j))
             if self._chain_skip(i, j):
                 continue
-            s = self._spoly(i, j)
-            nf = FreeElement(self.ambient, self._reduce_dict(dict(s.terms)),
-                             _checked=True)
+            nf = self._reduce_dict(self._spair(i, j))
             if nf:
-                self._append(nf.monic())
+                self._append(self._element(nf).monic())
 
     def leads_by_position(self) -> dict:
         out = {}
         for pos, lst in self.by_pos.items():
-            out[pos] = [e for _, e, _ in lst]
+            out[pos] = [e for _, e, _, _ in lst]
         return out
 
 
@@ -209,26 +243,18 @@ def _interreduce(ambient: FreeModule, elems):
     """Minimal leads, fully tail-reduced, monic, sorted by lead term."""
     elems = [g for g in elems if g]
     elems.sort(key=lambda g: ambient.term_key(g.lead_term()[0]))
-    kept = []
-    kept_leads = []
+    reducer = BuchbergerState(ambient, [], build_pairs=False)
     for g in elems:
         (pos, e), _ = g.lead_term()
         # a divisor lead is <= in the order, so scanning ascending suffices
-        if any(kp == pos and mono_divides(ke, e) for kp, ke in kept_leads):
-            continue
-        kept.append(g.monic())
-        kept_leads.append((pos, e))
-    reducer = BuchbergerState(ambient, [], build_pairs=False)
-    for g in kept:
-        reducer._append(g)
+        if reducer.find_reducer((pos, e)) is None:
+            reducer._append(g.monic())
     out = []
-    for g in kept:
+    for g, tail in zip(reducer.basis, reducer.tails):
         lt, lc = g.lead_term()
-        tail = dict(g.terms)
-        del tail[lt]
-        red = reducer._reduce_dict(tail)
-        red[lt] = lc
-        out.append(FreeElement(ambient, red, _checked=True))
+        terms = {lt: lc}
+        terms.update(reducer._reduce_dict(dict(tail)))
+        out.append(FreeElement(ambient, terms, _checked=True, _lead=lt))
     out.sort(key=lambda g: ambient.term_key(g.lead_term()[0]))
     return out
 
@@ -317,8 +343,14 @@ def groebner_basis(ambient: FreeModule, gens, *, assume_reduced_prefix: int = 0,
 
 def verify_basis(basis: SubmoduleBasis) -> None:
     """Re-check the Buchberger criterion on the finished basis, skipping no
-    pairs.  CrossCheckFailure on any nonzero remainder."""
+    pairs, and each carried lead against a fresh maximum over the terms.
+    CrossCheckFailure on any nonzero remainder or wrong lead."""
     gb = basis.gb
+    term_key = basis.ambient.term_key
+    for g in gb:
+        if g.lead_term()[0] != max(g.terms, key=term_key):
+            raise CrossCheckFailure(
+                f"carried lead {g.lead_term()[0]} is not the largest term")
     for i in range(len(gb)):
         (pi, ei), _ = gb[i].lead_term()
         for j in range(i + 1, len(gb)):
@@ -345,7 +377,6 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     sum u_i * cols[i] inside the relation submodule.
     """
     ring = target.ring
-    k = len(cols)
     big = FreeModule(ring, tuple(target.twists) + tuple(col_twists),
                      elim_rank=target.rank)
     elems = []
@@ -360,17 +391,21 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
         if not rel:
             continue
         elems.append(FreeElement(big, dict(rel.terms), _checked=True))
-    basis = groebner_basis(big, elems)
+    # under the block order an element whose lead lies in the tracking
+    # block lies there entirely, and those elements are a basis of the
+    # kernel: only they need interreducing
+    state = BuchbergerState(big, elems)
+    state.process()
     small = FreeModule(ring, tuple(col_twists))
-    kernel = []
-    for g in basis.gb:
-        if any(pos < target.rank for (pos, _) in g.terms):
-            continue
-        kernel.append(FreeElement(
-            small, {(pos - target.rank, e): c for (pos, e), c in g.terms.items()},
-            _checked=True))
-    # the stripped elements are already a reduced basis in the induced order
-    kernel.sort(key=lambda g: small.term_key(g.lead_term()[0]))
+    r = target.rank
+    tracked = []
+    for g in state.basis:
+        (pos, e), _ = g.lead_term()
+        if pos >= r:
+            tracked.append(FreeElement(
+                small, {(q - r, m): c for (q, m), c in g.terms.items()},
+                _checked=True, _lead=(pos - r, e)))
+    kernel = _interreduce(small, tracked)
     out = SubmoduleBasis(small, kernel, kernel)
     if _DEBUG_VERIFY:
         verify_basis(out)

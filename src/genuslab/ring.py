@@ -67,6 +67,19 @@ def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+def mono_mask(e: Exps) -> int:
+    """Bit i set when x_i occurs in e.  If a divides b, then
+    mono_mask(a) & ~mono_mask(b) == 0, so one AND rejects most
+    non-divisors (Bachmann-Schoenemann's short exponent vectors)."""
+    m = 0
+    bit = 1
+    for x in e:
+        if x:
+            m |= bit
+        bit <<= 1
+    return m
+
+
 def degrevlex_key(e: Exps):
     """Sort key: bigger key means bigger monomial in degrevlex."""
     return (sum(e), tuple(-x for x in reversed(e)))
@@ -356,11 +369,18 @@ class FreeModule:
 
 
 class FreeElement:
-    """Homogeneous element of a graded free module, {(pos, exps): coeff}."""
+    """Homogeneous element of a graded free module, {(pos, exps): coeff}.
+
+    _lead is internal: the engine passes the lead term in when it already
+    knows it (a reduction fills its output largest term first, and shifting
+    or scaling an element moves its lead along, since every module order is
+    multiplicative).  Otherwise lead_term() finds it once, on demand.
+    """
 
     __slots__ = ("ambient", "terms", "degree", "_lead")
 
-    def __init__(self, ambient: FreeModule, terms: dict, _checked: bool = False):
+    def __init__(self, ambient: FreeModule, terms: dict, _checked: bool = False,
+                 _lead=None):
         p = ambient.ring.prime
         if not _checked:
             clean = {}
@@ -371,16 +391,17 @@ class FreeElement:
             terms = clean
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", terms)
+        twists = ambient.twists
         deg = None
-        for t in terms:
-            d = ambient.term_degree(t)
+        for pos, e in terms:
+            d = sum(e) + twists[pos]
             if deg is None:
                 deg = d
             elif d != deg:
                 raise HomogeneityViolation(
                     f"mixed degrees {deg} and {d} in one module element")
         object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_lead", _lead)
 
     def __setattr__(self, *a):
         raise AttributeError("FreeElement is immutable")
@@ -403,10 +424,11 @@ class FreeElement:
         """((pos, exps), coeff) for the order-largest term, or None if zero."""
         if not self.terms:
             return None
-        if self._lead is None:
+        t = self._lead
+        if t is None:
             t = max(self.terms, key=self.ambient.term_key)
-            object.__setattr__(self, "_lead", (t, self.terms[t]))
-        return self._lead
+            object.__setattr__(self, "_lead", t)
+        return t, self.terms[t]
 
     def __add__(self, other: "FreeElement") -> "FreeElement":
         if self.is_zero:
@@ -426,7 +448,7 @@ class FreeElement:
     def __neg__(self) -> "FreeElement":
         p = self.ambient.ring.prime
         return FreeElement(self.ambient, {t: p - c for t, c in self.terms.items()},
-                           _checked=True)
+                           _checked=True, _lead=self._lead)
 
     def __sub__(self, other):
         return self + (-other)
@@ -437,11 +459,11 @@ class FreeElement:
         if c == 0:
             return self.ambient.zero()
         return FreeElement(self.ambient, {t: (c * v) % p for t, v in self.terms.items()},
-                           _checked=True)
+                           _checked=True, _lead=self._lead)
 
     def monic(self) -> "FreeElement":
         lt = self.lead_term()
-        if lt is None:
+        if lt is None or lt[1] == 1:
             return self
         return self.scale(self.ambient.ring.inv(lt[1]))
 
@@ -454,7 +476,10 @@ class FreeElement:
         out = {}
         for (pos, e), c in self.terms.items():
             out[(pos, mono_mul(e, exps))] = (c * coeff) % p
-        return FreeElement(self.ambient, out, _checked=True)
+        lead = self._lead
+        if lead is not None:
+            lead = (lead[0], mono_mul(lead[1], exps))
+        return FreeElement(self.ambient, out, _checked=True, _lead=lead)
 
     def component(self, pos: int) -> Polynomial:
         return Polynomial(self.ambient.ring,

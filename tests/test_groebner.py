@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure, InfiniteLength
 from genuslab.groebner import (BuchbergerState, NEG_INF, SubmoduleBasis,
-                               count_standard_monomials, finite_colength,
+                               _interreduce, count_standard_monomials, finite_colength,
                                groebner_basis, kernel_of_map,
                                quotient_dimension, quotient_total_length,
                                series_dimension, set_debug_verification,
@@ -339,3 +339,141 @@ def test_normal_form_properties(seed):
 
 def test_oracle_battery_smoke():
     assert run_battery(60, seed=20260822) >= 60
+
+
+# -- the leaner core: kernel-only interreduction, carried leads, masks ------
+
+def _kernel_by_full_basis(cols, col_twists, target, relations=None):
+    # the reference route: a reduced basis of the whole big module, then
+    # its tracking-block elements stripped down to the kernel's ambient
+    ring = target.ring
+    r = target.rank
+    big = FreeModule(ring, tuple(target.twists) + tuple(col_twists),
+                     elim_rank=r)
+    elems = []
+    for idx, col in enumerate(cols):
+        terms = dict(col.terms)
+        terms[(r + idx, ring.zero_exps())] = 1
+        elems.append(FreeElement(big, terms))
+    for rel in (relations.gb if relations is not None else ()):
+        elems.append(FreeElement(big, dict(rel.terms)))
+    small = FreeModule(ring, tuple(col_twists))
+    kernel = [FreeElement(small, {(pos - r, e): c
+                                  for (pos, e), c in g.terms.items()})
+              for g in groebner_basis(big, elems).gb
+              if all(pos >= r for pos, _ in g.terms)]
+    kernel.sort(key=lambda g: small.term_key(g.lead_term()[0]))
+    return kernel
+
+
+def _random_relations(seed):
+    from genuslab.corpus import random_instance
+    module, _ = random_instance(seed)
+    return module.relations
+
+
+def _binomial_module():
+    from genuslab.modules import GradedAlgebra
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = (R.variable(i) for i in range(3))
+    return GradedAlgebra(R, []).cyclic_module().quotient_by_ideal(
+        [x * y - y * z, x * x + y * z, x * y * y + z ** 3])
+
+
+def _unequal_twist_module():
+    from genuslab.modules import GradedAlgebra
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = (R.variable(i) for i in range(3))
+    A = GradedAlgebra(R, [x * x, x * y])
+    M = A.cyclic_module().direct_sum(
+        A.cyclic_module(2).quotient_by_ideal([x, y * z]))
+    assert M.twists == (0, 2)
+    return M
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _random_relations(0), lambda: _random_relations(5),
+    lambda: _random_relations(10), lambda: _binomial_module().relations,
+    lambda: _unequal_twist_module().relations,
+], ids=["random0", "random5", "random10", "binomial", "unequal-twist-sum"])
+def test_kernel_of_map_matches_full_basis_route(build):
+    basis = build()
+    # syzygies of the reduced basis used as generators
+    cols = list(basis.gb)
+    twists = [g.degree for g in cols]
+    got = kernel_of_map(cols, twists, basis.ambient)
+    assert list(got.gb) == _kernel_by_full_basis(cols, twists, basis.ambient)
+    # and a kernel modulo the relations: the colon by every variable
+    ring = basis.ambient.ring
+    cols = [poly_in_position(basis.ambient, ring.variable(i), pos)
+            for i in range(ring.nvars) for pos in range(basis.ambient.rank)]
+    twists = [c.degree for c in cols]
+    got = kernel_of_map(cols, twists, basis.ambient, relations=basis)
+    assert got.gb
+    assert list(got.gb) == _kernel_by_full_basis(cols, twists, basis.ambient,
+                                                 relations=basis)
+
+
+_R3 = PolyRing(("x", "y", "z"), 32003)
+_ORDERS = [FreeModule(_R3, (0, 1)), FreeModule(_R3, (0, 1), elim_rank=1),
+           FreeModule(_R3, (0, 1), tangent_block=2)]
+
+
+@st.composite
+def _elements(draw, ambient, degree):
+    terms = {}
+    for pos, twist in enumerate(ambient.twists):
+        d = degree - twist
+        if d < 0:
+            continue
+        monos = list(_R3.monomials_of_degree(d))
+        for e in draw(st.lists(st.sampled_from(monos), max_size=4)):
+            terms[(pos, e)] = draw(st.integers(1, 32002))
+    return FreeElement(ambient, terms)
+
+
+def _lead_is_fresh(g):
+    return not g or g.lead_term()[0] == max(g.terms, key=g.ambient.term_key)
+
+
+@given(st.data(), st.sampled_from(range(len(_ORDERS))))
+@settings(max_examples=60, deadline=None)
+def test_carried_leads_match_recomputed(data, order):
+    F = _ORDERS[order]
+    gens = [data.draw(_elements(F, d)) for d in (2, 2, 3)]
+    v = data.draw(_elements(F, 3))
+    shift = data.draw(st.sampled_from(list(_R3.monomials_of_degree(2))))
+    c = data.draw(st.integers(1, 32002))
+    for g in gens + [v]:
+        g.lead_term()  # carried from here on
+        for h in (g.shifted(shift), g.shifted(shift, c), g.scale(c),
+                  g.monic(), -g):
+            assert _lead_is_fresh(h)
+    basis = groebner_basis(F, gens)
+    for g in basis.gb:
+        assert _lead_is_fresh(g)
+    assert _lead_is_fresh(basis.normal_form(v))
+    assert _lead_is_fresh(BuchbergerState(F, gens).normal_form(v))
+    for g in _interreduce(F, gens + [v]):
+        assert _lead_is_fresh(g)
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.lists(st.integers(0, 2),
+                                                       min_size=5, max_size=5)),
+                min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 1), st.lists(st.integers(0, 3),
+                                                      min_size=5, max_size=5)),
+                min_size=1, max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_masked_find_reducer_is_the_first_divisor(leads, terms):
+    R = PolyRing(tuple("abcde"), 32003)
+    F = FreeModule(R, (0, 0))
+    st_ = BuchbergerState(F, [], build_pairs=False)
+    for pos, e in leads:
+        st_._append(FreeElement(F, {(pos, tuple(e)): 1}))
+    for pos, e in terms:
+        e = tuple(e)
+        plain = next((i for i, g in enumerate(st_.basis)
+                      if g.lead_term()[0][0] == pos
+                      and mono_divides(g.lead_term()[0][1], e)), None)
+        assert st_.find_reducer((pos, e)) == plain
