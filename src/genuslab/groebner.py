@@ -24,6 +24,9 @@ lead lies in the tracking block lies there entirely, and those elements of
 the finished Buchberger run form a basis of the kernel; only they are
 interreduced.  The reduced basis is unique, so this is the kernel's reduced
 basis, the same as the tracking part of the whole module's reduced basis.
+Under debug verification the whole run is re-checked, not only the kernel:
+a wrongly skipped pair can lose a kernel element and still leave the rest a
+Groebner basis.
 
 Standard monomials are counted, never listed, through the Hilbert numerator
 of the lead monomials.  Hilbert function values and the length-table slices
@@ -301,6 +304,10 @@ class SubmoduleBasis:
         return self._reducer().normal_form(v)
 
     def contains(self, v: FreeElement) -> bool:
+        # a v whose lead no lead of the basis divides is outside, with no
+        # normal form needed
+        if v and self._reducer().find_reducer(v.lead_term()[0]) is None:
+            return False
         return not self.normal_form(v)
 
     def contains_all(self, others) -> bool:
@@ -396,6 +403,10 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     # kernel: only they need interreducing
     state = BuchbergerState(big, elems)
     state.process()
+    if _DEBUG_VERIFY:
+        # the whole big-module basis: a wrongly skipped pair may lose a
+        # kernel element without leaving the kernel part non-Groebner
+        verify_basis(SubmoduleBasis(big, elems, state.basis))
     small = FreeModule(ring, tuple(col_twists))
     r = target.rank
     tracked = []

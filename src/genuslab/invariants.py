@@ -159,19 +159,11 @@ class _TableEngine:
 
     def _direct_value(self, n: int) -> int:
         # N + Q^{n+1}F = N + Q(N + Q^n F): each level is seeded from the
-        # previous one, leaving out the basis elements already in N.  A g
-        # whose lead no lead of N's basis divides is outside N, with no
-        # normal form needed.
+        # previous one, leaving out the basis elements already in N
         levels = self._levels
         relations = self.module.relations
         while len(levels) <= n:
-            leads = relations.leads_by_position()
-            outside = []
-            for g in levels[-1].gb:
-                (pos, e), _ = g.lead_term()
-                if (not any(mono_divides(m, e) for m in leads.get(pos, ()))
-                        or not relations.contains(g)):
-                    outside.append(g)
+            outside = [g for g in levels[-1].gb if not relations.contains(g)]
             levels.append(self.module.submodule_with(
                 [poly_times_element(q, g) for q in self.gens for g in outside]))
         return quotient_total_length(levels[n])

@@ -414,6 +414,24 @@ def test_kernel_of_map_matches_full_basis_route(build):
                                                  relations=basis)
 
 
+def test_verification_covers_the_kernel_run(monkeypatch):
+    # --verify-gb re-checks the whole Buchberger run behind a kernel, not
+    # only the kernel it leaves: with every pair skipped the syzygy
+    # y*e1 - x*e2 is lost and the empty kernel left is a valid basis
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    F = FreeModule(R, (0,))
+    cols = [poly_in_position(F, x, 0), poly_in_position(F, y, 0)]
+    monkeypatch.setattr(BuchbergerState, "_chain_skip", lambda self, i, j: True)
+    assert not kernel_of_map(cols, [1, 1], F).gb
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure):
+            kernel_of_map(cols, [1, 1], F)
+    finally:
+        set_debug_verification(False)
+
+
 _R3 = PolyRing(("x", "y", "z"), 32003)
 _ORDERS = [FreeModule(_R3, (0, 1)), FreeModule(_R3, (0, 1), elim_rank=1),
            FreeModule(_R3, (0, 1), tangent_block=2)]
