@@ -110,18 +110,19 @@ def minimal_generators(basis: SubmoduleBasis) -> list:
 def minimal_presentation(module: GradedModule) -> GradedModule:
     """An isomorphic module with no unit entries in its relations: every
     relation carrying a degree-zero coefficient is used to delete the
-    corresponding generator."""
+    corresponding generator.  Of several unit entries in one relation the
+    order-largest goes: they share the monomial 1, so the smallest position."""
     ring = module.algebra.ring
+    one = ring.zero_exps()
     rels = list(module.relations.gb)
     twists = list(module.twists)
     while True:
         hit = None
         for g in rels:
-            for (pos, e), c in g.terms.items():
-                if sum(e) == 0:
-                    hit = (g, pos, c)
-                    break
-            if hit:
+            units = [pos for pos, e in g.terms if e == one]
+            if units:
+                t = min(units)
+                hit = (g, t, g.terms[(t, one)])
                 break
         if hit is None:
             break

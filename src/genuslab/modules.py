@@ -457,6 +457,40 @@ def linear_coefficients(f: Polynomial):
     return row
 
 
+def power_of_linear_form(f: Polynomial):
+    """(c, l, d) with f == c·l^d for a linear form l whose first nonzero
+    coefficient is 1 and d = deg f >= 1; None when f is not such a power.
+
+    If f = c·l^d and x_i is the first variable in l, then x_i^d is the first
+    pure power in f, with coefficient c, and x_i^(d-1)·x_j has coefficient
+    c·d·l_j.  l is read off those, and c·l^d == f is checked by expanding,
+    so a polynomial that is not a power is never taken for one.  None also
+    when p divides d, where the coefficients of x_i^(d-1)·x_j vanish."""
+    d = f.degree
+    ring = f.ring
+    p = ring.prime
+    if d is None or d < 1 or d % p == 0:
+        return None
+    n = ring.nvars
+    pure = [tuple(d if k == i else 0 for k in range(n)) for i in range(n)]
+    i = next((i for i in range(n) if pure[i] in f.terms), None)
+    if i is None:
+        return None
+    c = f.terms[pure[i]]
+    scale = pow(c * d, p - 2, p)
+    terms = {ring.var_exps(i): 1}
+    for j in range(n):
+        if j != i:
+            e = list(pure[i])
+            e[i] -= 1
+            e[j] += 1
+            v = f.terms.get(tuple(e), 0) * scale % p
+            if v:
+                terms[ring.var_exps(j)] = v
+    l = Polynomial(ring, terms, _checked=True)
+    return (c, l, d) if (l ** d).scale(c) == f else None
+
+
 def substitute_linear(f: Polynomial, t_matrix) -> Polynomial:
     """Apply the substitution x_j -> sum_k t_matrix[j][k] x_k."""
     ring = f.ring

@@ -323,16 +323,21 @@ class FreeModule:
     internally ordered term-over-position degrevlex.
 
     tangent_block = b > 0 turns on the tangent-cone order used for length
-    tables along (x_1..x_b): twisted degree first, then the smaller degree in
-    the first b variables wins, then term-over-position degrevlex.  On a
-    homogeneous element the lead is thus taken from its lowest-order form in
-    the (x_1..x_b)-adic filtration.  It ignores elim_rank.
+    tables along (x_1..x_b): twisted degree first, then the smaller block
+    weight wins, then term-over-position degrevlex.  The block weight of
+    x^a·x_b^k, with a the exponents of x_1..x_(b-1), is D·|a| + k for
+    D = tangent_weight; with D = 1 it is the degree in x_1..x_b.  On a
+    homogeneous element the lead is thus taken from its lowest-weight form,
+    which for D = 1 is its lowest-order form in the (x_1..x_b)-adic
+    filtration, and for D > 1 in the filtration by the powers of
+    (x_1..x_(b-1), x_b^D).  It ignores elim_rank.
     """
 
     ring: PolyRing
     twists: tuple
     elim_rank: int = 0
     tangent_block: int = 0
+    tangent_weight: int = 1
 
     @property
     def rank(self) -> int:
@@ -342,7 +347,9 @@ class FreeModule:
         pos, e = t
         b = self.tangent_block
         if b:
-            return (sum(e) + self.twists[pos], -sum(e[:b]), sum(e),
+            d = self.tangent_weight
+            w = sum(e[:b]) if d == 1 else d * sum(e[:b - 1]) + e[b - 1]
+            return (sum(e) + self.twists[pos], -w, sum(e),
                     tuple(-x for x in reversed(e)), -pos)
         block = 1 if pos < self.elim_rank else 0
         return (block, sum(e), tuple(-x for x in reversed(e)), -pos)
@@ -352,7 +359,9 @@ class FreeModule:
         pos, e = t
         b = self.tangent_block
         if b:
-            return (-sum(e) - self.twists[pos], sum(e[:b]), -sum(e),
+            d = self.tangent_weight
+            w = sum(e[:b]) if d == 1 else d * sum(e[:b - 1]) + e[b - 1]
+            return (-sum(e) - self.twists[pos], w, -sum(e),
                     tuple(reversed(e)), pos)
         block = 1 if pos < self.elim_rank else 0
         return (-block, -sum(e), tuple(reversed(e)), pos)

@@ -4,7 +4,7 @@ import pytest
 from genuslab import groebner, homology, oracle
 from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import CrossCheckFailure, ZeroModule
-from genuslab.groebner import groebner_basis, syzygies
+from genuslab.groebner import SubmoduleBasis, groebner_basis, syzygies
 from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                dual_sections, ext_module, free_resolution,
                                koszul_complex, koszul_homology_lengths,
@@ -13,8 +13,8 @@ from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                verify_resolution_exactness)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               zero_module)
-from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
-                           poly_times_element)
+from genuslab.ring import (FreeElement, FreeModule, PolyRing,
+                           poly_in_position, poly_times_element)
 
 
 def algebra(names, relations=(), p=32003):
@@ -74,6 +74,27 @@ def test_minimal_presentation_eliminates_unit_entries():
     mp = minimal_presentation(M)
     assert mp.twists == (0,)
     assert not mp.relations.gb
+
+
+def test_minimal_presentation_ignores_term_insertion_order():
+    # e0 + e1 has two unit entries; deleting e0 leaves x*e2 - y*e1 as
+    # (-y, x), deleting e1 would leave it as (y, x).  The order, not the
+    # history of the terms dict, must pick e0.
+    A, _ = algebra("xy")
+    F = FreeModule(A.ring, (0, 0, 0))
+    one, x, y = (0, 0), (1, 0), (0, 1)
+    other = FreeElement(F, {(2, x): 1, (1, y): -1})
+    got = []
+    for order in (((0, one), (1, one)), ((1, one), (0, one))):
+        unit = FreeElement(F, {t: 1 for t in order})
+        assert list(unit.terms) == list(order)
+        M = GradedModule(A, (0, 0, 0), SubmoduleBasis(F, (unit, other),
+                                                      (unit, other)),
+                         relations_complete=True)
+        mp = minimal_presentation(M)
+        assert mp.twists == (0, 0)
+        got.append([g.terms for g in mp.relations.gb])
+    assert got[0] == got[1] == [{(1, x): 1, (0, y): A.ring.prime - 1}]
 
 
 def test_exactness_verifier_rejects_truncation():

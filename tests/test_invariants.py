@@ -76,7 +76,8 @@ def test_table_line_with_spike(line_with_spike):
 
 
 def test_table_nonlinear_parameter(line_with_spike):
-    # (y^2) forces the generic route; quotient basis is 1, x, y..y^{2n+1}
+    # (y^2) takes the graded route with y of weight 2; quotient basis is
+    # 1, x, y..y^{2n+1}
     M, x, y = line_with_spike
     table = hilbert_samuel_table(M, (y * y,), 4)
     assert table.values == (3, 5, 7, 9, 11)
@@ -135,27 +136,90 @@ def test_tangent_cone_route_matches_ideal_powers(build):
     # the tangent-cone slices against expanded powers of the ideal
     for module, gens in build():
         eng = _TableEngine(module, gens)
-        assert eng.linear
-        assert ([eng._linear_value(n) for n in range(6)]
+        assert eng.graded
+        assert ([eng._graded_value(n) for n in range(6)]
                 == [eng._direct_value(n) for n in range(6)])
 
 
-@pytest.mark.parametrize("build", [
-    lambda: _random(0), lambda: _random(5), lambda: _random(10),
-    _unequal_twist_sum, lambda: _example42(3),
+def _two_squares(module, gens):
+    return (gens[0] * gens[0], gens[1] * gens[1]) + tuple(gens[2:])
+
+
+def _product_not_power(module, gens):
+    # g times a second parameter: a quadric that is no power of a linear form
+    x, y, z = module.algebra.variables()
+    return (gens[0] * (x + 2 * y + 3 * z),) + tuple(gens[1:])
+
+
+@pytest.mark.parametrize("build, nonlinear", [
+    (lambda: _random(0), _product_not_power),
+    (lambda: _random(5), _two_squares), (lambda: _random(10), _two_squares),
+    (_unequal_twist_sum, _two_squares), (lambda: _example42(3), _two_squares),
 ], ids=["random0", "random5", "random10", "unequal-twist-sum", "example42-3"])
-def test_direct_route_recurrence_matches_ideal_powers(build):
+def test_direct_route_recurrence_matches_ideal_powers(build, nonlinear):
     # levels seeded from the previous level against expanded powers of a
-    # non-linear ideal: the first generator squared
+    # non-linear ideal the graded route does not take: two squared
+    # generators, or a product of two linear forms
     for module, gens in build():
-        gens = (gens[0] * gens[0],) + tuple(gens[1:])
+        gens = nonlinear(module, gens)
         eng = _TableEngine(module, gens)
-        assert not eng.linear
+        assert not eng.graded
         for n in range(6):
             power = ideal_power(module.algebra, list(gens), n + 1)
             polys = [g.component(0) for g in power.gb]
             expanded = module.submodule_with(module.ideal_multiples(polys))
             assert eng._direct_value(n) == quotient_total_length(expanded)
+
+
+def _powered(build, exponent):
+    # every generator in turn raised to the exponent, the others kept
+    cases = []
+    for module, gens in build():
+        for i in range(len(gens)):
+            cases.append((module, gens[:i] + (gens[i] ** exponent,)
+                          + gens[i + 1:]))
+    return cases
+
+
+_POWER_BUILDS = ([lambda s=s: _random(s) for s in range(20)]
+                 + [lambda d=d: _example42(d) for d in (2, 3, 4)]
+                 + [_unequal_twist_sum])
+_POWER_IDS = ([f"random{s}" for s in range(20)]
+              + [f"example42-{d}" for d in (2, 3, 4)] + ["unequal-twist-sum"])
+
+
+@pytest.mark.parametrize("exponent", [2, 3])
+@pytest.mark.parametrize("build", _POWER_BUILDS, ids=_POWER_IDS)
+def test_power_route_matches_direct_route(build, exponent):
+    # one generator a power of a linear form: the weighted slices against
+    # the levels built one by one
+    for module, gens in _powered(build, exponent):
+        eng = _TableEngine(module, gens)
+        assert eng.graded and eng.weight == exponent
+        assert ([eng._graded_value(n) for n in range(6)]
+                == [eng._direct_value(n) for n in range(6)])
+
+
+def test_power_of_a_dependent_form_takes_the_direct_route(plane_with_line):
+    # (y + z)^2 with y + z already among the linear generators
+    M, x, y, z = plane_with_line
+    eng = _TableEngine(M, (y, z, (y + z) ** 2))
+    assert not eng.graded
+    # 1, y^a z^b with a + b <= n, and x z^b with b <= n
+    assert eng.values_up_to(3) == [2, 5, 9, 14]
+
+
+def test_power_route_cross_checks_row_one_under_verify_gb(
+        line_with_spike, monkeypatch):
+    M, x, y = line_with_spike
+    set_debug_verification(True)
+    try:
+        assert _TableEngine(M, (y * y,)).values_up_to(2) == [3, 5, 7]
+        monkeypatch.setattr(_TableEngine, "_direct_value", lambda self, n: 0)
+        with pytest.raises(CrossCheckFailure, match="n = 1"):
+            _TableEngine(M, (y * y,)).values_up_to(1)
+    finally:
+        set_debug_verification(False)
 
 
 # -- coefficients -------------------------------------------------------------

@@ -13,7 +13,7 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               complete_to_invertible, ideal_power,
                               idealization, invert_matrix,
                               linear_coefficients, module_from_matrix,
-                              submodule_colon, submodule_intersect,
+                              power_of_linear_form, submodule_colon, submodule_intersect,
                               substitute_linear, zero_module)
 from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
                            poly_times_element)
@@ -234,6 +234,39 @@ def test_linear_substitution_moves_parameters_to_variables():
     f = x * x
     g = substitute_linear(f, [[1, 1], [0, 1]])  # x -> x + y
     assert g == x * x + 2 * x * y + y * y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c, coeffs", [
+    (1, (1, 0, 0)), (5, (0, 1, -3)), (-2, (1, 7, 11)), (3, (0, 0, 1)),
+])
+def test_power_of_linear_form_recovers_the_power(c, coeffs, d):
+    A, xs = algebra("xyz")
+    ring = A.ring
+    l = sum((xv.scale(a) for xv, a in zip(xs, coeffs) if a),
+            ring.constant(0))
+    got = power_of_linear_form((l ** d).scale(c))
+    assert got is not None
+    gc, gl, gd = got
+    assert gd == d
+    assert (gl ** d).scale(gc) == (l ** d).scale(c)
+    # l normalised to a leading coefficient 1 at its first variable
+    first = next(i for i, a in enumerate(coeffs) if a)
+    assert linear_coefficients(gl)[first] == 1
+    assert not any(linear_coefficients(gl)[:first])
+
+
+def test_power_of_linear_form_rejects_other_forms():
+    A, (x, y, z) = algebra("xyz")
+    for f in [x * y, x * x + y * y, x ** 3 + y ** 3, x * x * y,
+              x * x + 2 * x * y, (x + y) ** 2 + z * z, A.ring.constant(4),
+              A.ring.constant(0)]:
+        assert power_of_linear_form(f) is None, f
+    # over Z/3, (x + y)^3 = x^3 + y^3: the linear part cannot be read off
+    # the coefficients, so no power is claimed
+    B, (u, v) = algebra("uv", p=3)
+    assert power_of_linear_form((u + v) ** 3) is None
+    assert power_of_linear_form((u + v) ** 2) == (1, u + v, 2)
 
 
 @pytest.mark.parametrize("error, call", [

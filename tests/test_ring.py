@@ -204,9 +204,11 @@ def test_elimination_block_dominates():
 @given(st.lists(st.tuples(st.integers(0, 2),
                           st.tuples(*[st.integers(0, 3)] * 4)),
                 min_size=2, max_size=30, unique=True),
-       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(1, 3))
-def test_tangent_heap_key_negates_term_key(terms, twists, block):
-    F = FreeModule(make_ring("xyzw"), twists, tangent_block=block)
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(1, 3),
+       st.integers(1, 3))
+def test_tangent_heap_key_negates_term_key(terms, twists, block, weight):
+    F = FreeModule(make_ring("xyzw"), twists, tangent_block=block,
+                   tangent_weight=weight)
     assert (sorted(terms, key=F.term_key, reverse=True)
             == sorted(terms, key=F.heap_key))
 
@@ -222,6 +224,21 @@ def test_tangent_order_leads_with_lowest_block_degree():
     # and wins on x-degree; untwisted, x*z would lead on degree alone
     w = element_from_components(F, [x * z, y])
     assert w.lead_term() == ((1, (0, 1, 0)), 1)
+    # block (x, y) with weight D = 2, as for Q = (x, y^2): x weighs 2 and
+    # y weighs 1, so y^2 (weight 2) beats x*y (weight 3), where the block
+    # degree ties them and degrevlex picks x*y
+    F2 = FreeModule(R, (0, 1), tangent_block=2, tangent_weight=2)
+    F1 = FreeModule(R, (0, 1), tangent_block=2)
+    assert (element_from_components(F2, [x * y + y * y, None]).lead_term()
+            == ((0, (0, 2, 0)), 1))
+    assert (element_from_components(F1, [x * y + y * y, None]).lead_term()
+            == ((0, (1, 1, 0)), 1))
+    # twisted: y in position 1 (weight 1) beats x*z (weight 2) under D = 2;
+    # under D = 1 both have block degree 1 and x*z wins on its own degree
+    assert (element_from_components(F2, [x * z, y]).lead_term()
+            == ((1, (0, 1, 0)), 1))
+    assert (element_from_components(F1, [x * z, y]).lead_term()
+            == ((0, (1, 0, 1)), 1))
 
 
 def test_element_arithmetic():
