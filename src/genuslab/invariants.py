@@ -30,8 +30,9 @@ from .groebner import (NEG_INF, debug_verification_enabled, finite_colength,
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       complete_to_invertible, echelon_insert, ideal_power,
-                      invert_matrix, linear_coefficients, power_of_linear_form,
-                      present_subquotient, submodule_colon, submodule_intersect,
+                      invert_matrix, linear_coefficients,
+                      power_of_linear_form, present_subquotient,
+                      submodule_colon, submodule_intersect,
                       substitute_element, substitute_linear)
 from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_divides,
                    poly_in_position, poly_times_element)

@@ -76,8 +76,8 @@ def test_table_line_with_spike(line_with_spike):
 
 
 def test_table_nonlinear_parameter(line_with_spike):
-    # (y^2) takes the graded route with y of weight 2; quotient basis is
-    # 1, x, y..y^{2n+1}
+    # (y^2) takes the graded route with D = 2, counting the standard
+    # monomials of y-degree below 2(n+1); quotient basis is 1, x, y..y^{2n+1}
     M, x, y = line_with_spike
     table = hilbert_samuel_table(M, (y * y,), 4)
     assert table.values == (3, 5, 7, 9, 11)

@@ -13,8 +13,9 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               complete_to_invertible, ideal_power,
                               idealization, invert_matrix,
                               linear_coefficients, module_from_matrix,
-                              power_of_linear_form, submodule_colon, submodule_intersect,
-                              substitute_linear, zero_module)
+                              power_of_linear_form, submodule_colon,
+                              submodule_intersect, substitute_linear,
+                              zero_module)
 from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
                            poly_times_element)
 
