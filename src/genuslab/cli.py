@@ -51,7 +51,7 @@ def _engine_flags(flags: RunFlags):
     old_cap = invariants.TABLE_CAP
     old_debug = groebner.debug_verification_enabled()
     if flags.max_n is not None:
-        invariants.TABLE_CAP = max(flags.max_n, 0)
+        invariants.TABLE_CAP = flags.max_n
     if flags.verify_gb:
         groebner.set_debug_verification(True)
     try:
@@ -61,10 +61,6 @@ def _engine_flags(flags: RunFlags):
         groebner.set_debug_verification(old_debug)
 
 
-def _table_top(flags: RunFlags):
-    return None if flags.max_n is None else max(flags.max_n, 0)
-
-
 # ----------------------------------------------------------- batteries
 
 def _standard_battery(module, seq, flags: RunFlags, out: dict) -> dict:
@@ -72,7 +68,7 @@ def _standard_battery(module, seq, flags: RunFlags, out: dict) -> dict:
     the dimension admits it.  Returns the flat summary used for golden
     comparisons."""
     inv = invariant_report(module, seq)
-    table = hilbert_samuel_table(module, seq.gens, _table_top(flags))
+    table = hilbert_samuel_table(module, seq.gens, flags.max_n)
     out["invariants"] = serialize_invariants(inv, table.values)
     out["inequalities"] = serialize_checklist(inequality_suite(module, seq))
     summary = {
@@ -217,7 +213,7 @@ def _execute(session: Session, cmd, index: int, flags: RunFlags) -> dict:
             module = session.module_for(cmd.target)
             polys = session.env[cmd.sequence][1]
             inv = invariant_report(module, polys)
-            table = hilbert_samuel_table(module, polys, _table_top(flags))
+            table = hilbert_samuel_table(module, polys, flags.max_n)
             out["invariants"] = serialize_invariants(inv, table.values)
         elif isinstance(cmd, CheckCmd):
             out["command"] = f"check {cmd.kind}"
@@ -306,14 +302,26 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low, else a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None,
                         help="search seed (default: GENUSLAB_SEED or 0)")
-    shared.add_argument("--max-n", type=int, default=None, metavar="N",
-                        help="cap every length table at degree N")
+    shared.add_argument("--max-n", type=_int_at_least(0), default=None,
+                        metavar="N", help="cap every length table at degree N")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--budget", type=int, default=24,
+    shared.add_argument("--budget", type=_int_at_least(1), default=24,
                         help="attempt budget for the d-sequence search")
     shared.add_argument("--verify-gb", action="store_true",
                         help="re-verify every completed basis (slow)")
@@ -335,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "default is the standing grid")
     corpus_p.add_argument("--config", metavar="FILE",
                           help="JSON grid description")
-    corpus_p.add_argument("--random-seeds", type=int, default=50,
+    corpus_p.add_argument("--random-seeds", type=_int_at_least(0), default=50,
                           help="random block size of the standing grid")
     return parser
 
@@ -389,7 +397,7 @@ def main(argv=None) -> int:
         try:
             with open(args.session, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             print(f"genuslab: {err}", file=sys.stderr)
             return EXIT_USAGE
         try:

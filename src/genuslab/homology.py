@@ -178,9 +178,7 @@ def free_resolution(module: GradedModule, max_len=None) -> FreeComplex:
         out = FreeComplex(spots, diffs)
         out.verify_compositions()
         return out
-    if "resolution" not in module._cache:
-        module._cache["resolution"] = build()
-    return module._cache["resolution"]
+    return module._memo("resolution", build)
 
 
 def betti_numbers(module: GradedModule):
@@ -225,34 +223,31 @@ def _transpose(cols, dual_domain: FreeModule):
 def ext_module(module: GradedModule, i: int) -> GradedModule:
     """Cohomology of the dualized minimal resolution at spot i, presented and
     then minimized."""
-    key = ("ext", i)
-    if key in module._cache:
-        return module._cache[key]
-    res = free_resolution(module)
-    pd = res.length
-    if i < 0 or i > pd:
-        out = zero_module(module.algebra)
-        module._cache[key] = out
-        return out
-    ring = module.algebra.ring
-    fi = res.spots[i]
-    fi_star = FreeModule(ring, tuple(-t for t in fi.twists))
-    if i < pd:
-        fnext_star = FreeModule(ring, tuple(-t for t in res.spots[i + 1].twists))
-        tcols = _transpose(res.diffs[i], fnext_star)
-        u = kernel_of_map(tcols, list(fi_star.twists), fnext_star)
-        top = [FreeElement(fi_star, dict(g.terms), _checked=True) for g in u.gb]
-    else:
-        top = [fi_star.generator(b) for b in range(fi_star.rank)]
-    if i >= 1:
-        bcols = _transpose(res.diffs[i - 1], fi_star)
-        bottom = groebner_basis(fi_star, bcols)
-    else:
-        bottom = SubmoduleBasis.zero(fi_star)
-    out = minimal_presentation(
-        present_subquotient(module.algebra, top, bottom, fi_star))
-    module._cache[key] = out
-    return out
+    def build():
+        res = free_resolution(module)
+        pd = res.length
+        if i < 0 or i > pd:
+            return zero_module(module.algebra)
+        ring = module.algebra.ring
+        fi = res.spots[i]
+        fi_star = FreeModule(ring, tuple(-t for t in fi.twists))
+        if i < pd:
+            fnext_star = FreeModule(
+                ring, tuple(-t for t in res.spots[i + 1].twists))
+            tcols = _transpose(res.diffs[i], fnext_star)
+            u = kernel_of_map(tcols, list(fi_star.twists), fnext_star)
+            top = [FreeElement(fi_star, dict(g.terms), _checked=True)
+                   for g in u.gb]
+        else:
+            top = [fi_star.generator(b) for b in range(fi_star.rank)]
+        if i >= 1:
+            bcols = _transpose(res.diffs[i - 1], fi_star)
+            bottom = groebner_basis(fi_star, bcols)
+        else:
+            bottom = SubmoduleBasis.zero(fi_star)
+        return minimal_presentation(
+            present_subquotient(module.algebra, top, bottom, fi_star))
+    return module._memo(("ext", i), build)
 
 
 @dataclass(frozen=True)
@@ -268,28 +263,27 @@ class DualSection:
 def dual_sections(module: GradedModule) -> list:
     """The duals for j = 0..dim-1, via the dualized resolution.  The j = 0
     entry is cross-checked against the directly computed finite sections."""
-    if "duals" in module._cache:
-        return module._cache["duals"]
-    s = module.dimension()
-    n = module.algebra.ring.nvars
-    out = []
-    top = 0 if s == NEG_INF else max(int(s), 0)
-    for j in range(top):
-        mj = ext_module(module, n - j)
-        dim_j = mj.dimension()
-        if dim_j != NEG_INF and dim_j > j:
-            raise CrossCheckFailure(
-                f"dual section {j} has dimension {dim_j} > {j}")
-        out.append(DualSection(j, mj, dim_j <= 0))
-    if top >= 1:
-        expected = module.h0().total_length()
-        got = out[0].module.total_length()
-        if expected != got:
-            raise CrossCheckFailure(
-                f"dual of the zeroth cohomology has length {got}, "
-                f"direct sections have length {expected}")
-    module._cache["duals"] = out
-    return out
+    def build():
+        s = module.dimension()
+        n = module.algebra.ring.nvars
+        out = []
+        top = 0 if s == NEG_INF else max(int(s), 0)
+        for j in range(top):
+            mj = ext_module(module, n - j)
+            dim_j = mj.dimension()
+            if dim_j != NEG_INF and dim_j > j:
+                raise CrossCheckFailure(
+                    f"dual section {j} has dimension {dim_j} > {j}")
+            out.append(DualSection(j, mj, dim_j <= 0))
+        if top >= 1:
+            expected = module.h0().total_length()
+            got = out[0].module.total_length()
+            if expected != got:
+                raise CrossCheckFailure(
+                    f"dual of the zeroth cohomology has length {got}, "
+                    f"direct sections have length {expected}")
+        return out
+    return module._memo("duals", build)
 
 
 def depth(module: GradedModule) -> int:
@@ -297,18 +291,20 @@ def depth(module: GradedModule) -> int:
     count minus projective dimension, and the first nonvanishing dual."""
     if module.is_zero():
         raise ZeroModule("depth of the zero module is undefined")
-    if "depth" in module._cache:
-        return module._cache["depth"]
-    n = module.algebra.ring.nvars
-    ab = n - projective_dimension(module)
-    s = max(int(module.dimension()), 0)
-    duals = dual_sections(module)
-    from_duals = next((ds.index for ds in duals if not ds.module.is_zero()), s)
-    if ab != from_duals:
-        raise CrossCheckFailure(
-            f"depth disagreement: resolution gives {ab}, duals give {from_duals}")
-    module._cache["depth"] = ab
-    return ab
+
+    def build():
+        n = module.algebra.ring.nvars
+        ab = n - projective_dimension(module)
+        s = max(int(module.dimension()), 0)
+        duals = dual_sections(module)
+        from_duals = next(
+            (ds.index for ds in duals if not ds.module.is_zero()), s)
+        if ab != from_duals:
+            raise CrossCheckFailure(
+                f"depth disagreement: resolution gives {ab}, duals give "
+                f"{from_duals}")
+        return ab
+    return module._memo("depth", build)
 
 
 # -- Koszul complexes ---------------------------------------------------------

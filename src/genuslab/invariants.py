@@ -29,13 +29,13 @@ from .groebner import (NEG_INF, debug_verification_enabled, finite_colength,
                        quotient_total_length, series_dimension)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
-                      complete_to_invertible, echelon_insert, ideal_power,
-                      invert_matrix, linear_coefficients,
-                      power_of_linear_form, present_subquotient,
-                      submodule_colon, submodule_intersect,
-                      substitute_element, substitute_linear)
+                      complete_to_invertible, echelon_insert, invert_matrix,
+                      linear_coefficients, power_of_linear_form,
+                      present_subquotient, submodule_colon,
+                      submodule_intersect, substitute_element,
+                      substitute_linear)
 from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_divides,
-                   poly_in_position, poly_times_element)
+                   poly_in_position)
 
 TABLE_CAP = 64
 
@@ -79,9 +79,9 @@ class _TableEngine:
     other variables that stay outside the colon of the leads by u.  Every
     length is then a prefix sum of slices.  With two powers, or a generator
     that is not a power of a linear form, weight no longer cuts out Q^m (x·y
-    has weight 2 in (x^2, y^2) but is not in it), and each level
-    N + Q^{n+1}F is computed from the previous one as N + Q(N + Q^n F) and
-    its finite quotient counted directly.  The graded route is an
+    has weight 2 in (x^2, y^2) but is not in it), and the finite quotient
+    by each level N + Q^{n+1}F, from the module's power_submodule, is
+    counted directly.  The graded route is an
     optimization only: the transformed basis must have the Hilbert series of
     the original relations, the n = 0 value is cross-checked against the
     direct quotient, and under --verify-gb the n = 1 value too.
@@ -91,8 +91,7 @@ class _TableEngine:
         self.module = module
         self.gens = tuple(gens)
         self.values = []
-        self._base = module.submodule_with(module.ideal_multiples(list(gens)))
-        self._levels = [self._base]  # bases of N + Q^{n+1}F, by n
+        self._base = module.power_submodule(gens)
         if quotient_dimension(self._base) > 0:
             raise InfiniteLength(
                 "the ideal does not cut the module down to finite length")
@@ -192,15 +191,8 @@ class _TableEngine:
         return cum[top]
 
     def _direct_value(self, n: int) -> int:
-        # N + Q^{n+1}F = N + Q(N + Q^n F): each level is seeded from the
-        # previous one, leaving out the basis elements already in N
-        levels = self._levels
-        relations = self.module.relations
-        while len(levels) <= n:
-            outside = [g for g in levels[-1].gb if not relations.contains(g)]
-            levels.append(self.module.submodule_with(
-                [poly_times_element(q, g) for q in self.gens for g in outside]))
-        return quotient_total_length(levels[n])
+        return quotient_total_length(
+            self.module.power_submodule(self.gens, n + 1))
 
     def values_up_to(self, top: int) -> list:
         while len(self.values) <= top:
@@ -223,10 +215,8 @@ class _TableEngine:
 
 
 def _engine(module: GradedModule, gens) -> _TableEngine:
-    key = ("hsengine", frozenset(gens))
-    if key not in module._cache:
-        module._cache[key] = _TableEngine(module, gens)
-    return module._cache[key]
+    return module._memo(("hsengine", frozenset(gens)),
+                        lambda: _TableEngine(module, gens))
 
 
 @dataclass(frozen=True)
@@ -333,15 +323,15 @@ def hilbert_coefficients(table: LengthTable, s: int) -> HilbertCoefficients:
 
 def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
     gens = _gens_for(q)
-    key = ("hscoeffs", frozenset(gens))
-    if key not in module._cache:
+
+    def build():
         s = module.dimension()
         if s == NEG_INF:
             raise ZeroModule("the zero module has no Hilbert coefficients")
         s = max(int(s), 0)
         table = hilbert_samuel_table(module, gens, min(s + 4, TABLE_CAP))
-        module._cache[key] = hilbert_coefficients(table, s)
-    return module._cache[key]
+        return hilbert_coefficients(table, s)
+    return module._memo(("hscoeffs", frozenset(gens)), build)
 
 
 def multiplicity(module: GradedModule, q) -> int:
@@ -372,8 +362,8 @@ def euler_chi1(module: GradedModule, q) -> tuple:
     multiplicity); computed both ways and required to agree.  Memoized per
     module and generating set, like the Hilbert coefficients."""
     seq = _sequence_for(module, q)
-    key = ("chi1", frozenset(seq.gens))
-    if key not in module._cache:
+
+    def build():
         lengths = koszul_homology_lengths(seq)
         koszul = sum(((-1) ** (i - 1)) * lengths[i]
                      for i in range(1, len(lengths)))
@@ -382,8 +372,8 @@ def euler_chi1(module: GradedModule, q) -> tuple:
             raise CrossCheckFailure(
                 f"Euler characteristic mismatch: {koszul} from homology, "
                 f"{serre} from lengths")
-        module._cache[key] = (koszul, serre)
-    return module._cache[key]
+        return (koszul, serre)
+    return module._memo(("chi1", frozenset(seq.gens)), build)
 
 
 # -- homological degree and torsion -------------------------------------------
@@ -398,14 +388,14 @@ def hdeg(module: GradedModule, q) -> int:
     if s <= 0:
         return module.total_length()
     gens = _gens_for(q)
-    key = ("hdeg", frozenset(gens))
-    if key not in module._cache:
+
+    def build():
         duals = dual_sections(module)
         total = multiplicity(module, gens)
         for j in range(int(s)):
             total += binomial(int(s) - 1, j) * hdeg(duals[j].module, gens)
-        module._cache[key] = total
-    return module._cache[key]
+        return total
+    return module._memo(("hdeg", frozenset(gens)), build)
 
 
 def torsion(module: GradedModule, q, i: int) -> int:
@@ -470,27 +460,20 @@ def _windowed_superficial(a, module: GradedModule, qgens, killed,
                           c_max=3, window=2):
     """Colon-window test: (Q^{n+1}M : a) ∩ Q^c M = Q^n M for c <= c_max and
     a window of n, after refuting on a positive-dimensional annihilator
-    `killed`.  Returns (status, start).  A heuristic, kept only for a Q that
-    is not linear or leaves M/QM of infinite length, where gr_Q(M) is not
-    at hand; ROADMAP item 2 deletes it."""
+    `killed`.  Returns (status, start).  The levels Q^k M are the module's
+    power_submodule bases, shared with the direct table route.  A
+    heuristic, kept only for a Q that is not linear or leaves M/QM of
+    infinite length, where gr_Q(M) is not at hand; ROADMAP item 2 deletes
+    it."""
     if killed.dimension() > 0:
         return "refuted", None
-    algebra = module.algebra
-    bases = {}
-
-    def power_basis(k):
-        if k not in bases:
-            polys = [g.component(0)
-                     for g in ideal_power(algebra, list(qgens), k).gb]
-            bases[k] = module.submodule_with(module.ideal_multiples(polys))
-        return bases[k]
-
+    level = lambda k: module.power_submodule(qgens, k)
     for c in range(1, c_max + 1):
         good = True
         for n in range(c, c + window + 1):
             lhs = submodule_intersect(
-                submodule_colon(power_basis(n + 1), a), power_basis(c))
-            if lhs != power_basis(n):
+                submodule_colon(level(n + 1), a), level(c))
+            if lhs != level(n):
                 good = False
                 break
         if good:
@@ -517,8 +500,7 @@ def _initial_module(module: GradedModule, gens):
     the table engine, where Q = (x_1..x_b).  The tangent-cone order refines
     the x-adic filtration, so the lowest x-degree forms of its basis
     generate N*."""
-    key = ("initial", frozenset(gens))
-    if key not in module._cache:
+    def build():
         eng = _engine(module, gens)
         b = eng.block
         F = FreeModule(module.algebra.ring, module.twists)
@@ -532,8 +514,8 @@ def _initial_module(module: GradedModule, gens):
         if hilbert_series(initial) != hilbert_series(module.relations):
             raise CrossCheckFailure(
                 "the associated graded module changed the Hilbert series")
-        module._cache[key] = initial
-    return module._cache[key]
+        return initial
+    return module._memo(("initial", frozenset(gens)), build)
 
 
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
@@ -647,7 +629,7 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
     m = seq.module
     d = seq.count
     for i in range(1, d + 1):
-        prefix = m.submodule_with(m.ideal_multiples(list(seq.prefix(i - 1))))
+        prefix = m.power_submodule(seq.prefix(i - 1))
         for j in range(i, d + 1):
             ai, aj = seq.gens[i - 1], seq.gens[j - 1]
             lhs = submodule_colon(prefix, ai * aj)
@@ -721,11 +703,10 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
         for step in range(d):
             pick = None
             fallback = None
-            screened = {}  # quotients built while screening, reused for the pick
             for idx, cand in enumerate(remaining):
                 if deep.contains(poly_in_position(deep.ambient, cand, 0)):
                     continue
-                after = screened[idx] = current.quotient_by_ideal([cand])
+                after = current.quotient_by_ideal([cand])
                 want = d - step - 1
                 dim_after = after.dimension()
                 if (want == 0 and dim_after not in (NEG_INF, 0)) or \
@@ -744,7 +725,8 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
                 stuck = step
                 break
             chosen.append(remaining.pop(pick))
-            current = screened[pick]
+            # memoized: the quotient built while screening the pick
+            current = current.quotient_by_ideal([chosen[-1]])
         if stuck is not None:
             entry["outcome"] = f"no screened candidate at step {stuck}"
             transcript.append(entry)
@@ -791,8 +773,7 @@ def check_prop38(module: GradedModule, seq) -> DSequenceCoefficientReport:
     e = c.e
     checks = []
     if d >= 1:
-        prev = module.submodule_with(
-            module.ideal_multiples(list(seq.prefix(d - 1))))
+        prev = module.power_submodule(seq.prefix(d - 1))
         colon = submodule_colon(prev, seq.gens[d - 1])
         extra = present_subquotient(module.algebra, list(colon.gb), prev,
                                     module.ambient).total_length()
@@ -900,7 +881,7 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
         consequences.append(CheckResult(
             "closed form reproduces the table", "pass",
             {"window": list(table.values[:d + 4])}))
-        qb = module.submodule_with(module.ideal_multiples(list(seq.gens)))
+        qb = module.power_submodule(seq.gens)
         inter = submodule_intersect(qb, module.h0_submodule())
         if not module.relations.contains_all(inter.gb):
             raise CrossCheckFailure(
@@ -1050,7 +1031,7 @@ def _section_transfer(module, seq, c) -> CheckResult:
     cov = hilbert_samuel_table(chopped, gens, 0).values[0]
     eq_c = (cov - cc.e[0] + cc.e[1]
             == hdeg(chopped, gens) - cc.e[0] - torsion(chopped, gens, 1))
-    qb = module.submodule_with(module.ideal_multiples(list(gens)))
+    qb = module.power_submodule(gens)
     inter = submodule_intersect(qb, h0b)
     trivial = module.relations.contains_all(inter.gb)
     return CheckResult(

@@ -5,7 +5,11 @@ support, dimension, length, quotients, sums, idealization.
 A module is always a pair (free ambient F over the polynomial ring, relation
 submodule N), with the algebra's defining ideal folded into N so that F/N is
 genuinely a module over the quotient ring.  All derived data is cached
-lazily; every value, once computed, is immutable.
+lazily through `_memo`, on the algebra or module it belongs to; every value,
+once computed, is immutable.  In particular every submodule N + Q^k F, the
+filtration that the length tables, the colon tests and the quotients M/QM
+are read off, is built by one method, `GradedModule.power_submodule`, and
+kept on its module.
 """
 from __future__ import annotations
 
@@ -23,18 +27,23 @@ def _as_poly_list(f):
     return [f] if isinstance(f, Polynomial) else list(f)
 
 
-class GradedAlgebra:
+class _Memoized:
+    """Values derived lazily from an immutable object, each built once and
+    kept in the object's own `_cache` under its key."""
+
+    def _memo(self, key, fn):
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
+
+
+class GradedAlgebra(_Memoized):
     """Quotient of a standard graded polynomial ring by a homogeneous ideal."""
 
     def __init__(self, ring: PolyRing, ideal_gens=()):
         self.ring = ring
         self.ideal_gens = tuple(f for f in ideal_gens if f)
         self._cache = {}
-
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     def defining_basis(self) -> SubmoduleBasis:
         def build():
@@ -57,7 +66,7 @@ class GradedAlgebra:
                 f"{len(self.ideal_gens)} relations, p={self.ring.prime})")
 
 
-class GradedModule:
+class GradedModule(_Memoized):
     """F/N for a graded free ambient F and relation submodule N ⊇ I·F."""
 
     def __init__(self, algebra: GradedAlgebra, twists, relations,
@@ -89,11 +98,6 @@ class GradedModule:
                 for f in self.algebra.ideal_gens
                 for pos in range(len(self.twists))]
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     # -- size ----------------------------------------------------------------
 
     @property
@@ -114,12 +118,8 @@ class GradedModule:
         return quotient_hilbert_function(self.relations, t)
 
     def minimal_generator_count(self) -> int:
-        def build():
-            mF = [poly_in_position(self.ambient, v, pos)
-                  for v in self.algebra.variables()
-                  for pos in range(self.rank)]
-            return quotient_total_length(self.submodule_with(mF))
-        return self._memo("mu", build)
+        return self._memo("mu", lambda: quotient_total_length(
+            self.power_submodule(self.algebra.variables())))
 
     # -- submodules ----------------------------------------------------------
 
@@ -135,6 +135,25 @@ class GradedModule:
         return [poly_in_position(self.ambient, f, pos)
                 for f in _as_poly_list(polys) if f
                 for pos in range(self.rank)]
+
+    def power_submodule(self, polys, k: int = 1) -> SubmoduleBasis:
+        """Reduced basis of N + Q^k F for Q = (polys) and k >= 1, memoized
+        on the module per set of nonzero polys and k; N itself for Q = 0.
+        Level 1 adds the multiples of the polys to N.  Level k is seeded
+        from level k - 1, as N + Q^k F = N + Q(N + Q^(k-1) F): q·g for every
+        q in polys and every basis element g of level k - 1 outside N.  The
+        reduced basis is unique, so it does not depend on the order of the
+        polys."""
+        polys = [f for f in _as_poly_list(polys) if f]
+
+        def build():
+            if k == 1:
+                return self.submodule_with(self.ideal_multiples(polys))
+            outside = [g for g in self.power_submodule(polys, k - 1).gb
+                       if not self.relations.contains(g)]
+            return self.submodule_with([poly_times_element(q, g)
+                                        for q in polys for g in outside])
+        return self._memo(("power", frozenset(polys), k), build)
 
     def h0_submodule(self) -> SubmoduleBasis:
         """Preimage in the ambient of the largest finite-length submodule:
@@ -194,10 +213,12 @@ class GradedModule:
     # -- derived modules ------------------------------------------------------
 
     def quotient_by_ideal(self, polys) -> "GradedModule":
-        """M / (polys)M on the same ambient."""
-        basis = self.submodule_with(self.ideal_multiples(polys))
-        return GradedModule(self.algebra, self.twists, basis,
-                            relations_complete=True)
+        """M / (polys)M on the same ambient, memoized like power_submodule:
+        the same ideal gives back the same module, with its caches."""
+        polys = [f for f in _as_poly_list(polys) if f]
+        return self._memo(("quotient", frozenset(polys)), lambda: GradedModule(
+            self.algebra, self.twists, self.power_submodule(polys),
+            relations_complete=True))
 
     def quotient_by_submodule(self, sub: SubmoduleBasis) -> "GradedModule":
         """F/sub for a submodule that contains the relations."""
@@ -317,32 +338,21 @@ def submodule_intersect(n1: SubmoduleBasis, n2: SubmoduleBasis) -> SubmoduleBasi
     return SubmoduleBasis(ambient, out, out)
 
 
-_POWER_CACHE = {}
-
-
 def ideal_power(algebra: GradedAlgebra, polys, n: int) -> SubmoduleBasis:
     """Reduced basis of (polys)^n inside the ring (not touching the algebra's
-    defining ideal).  Iterative, reducing at every step; cached."""
+    defining ideal).  Iterative, reducing at every step, and uncached: the
+    engine builds N + Q^k F with GradedModule.power_submodule, and this
+    stays as the independent reference that the tests compare it with."""
     polys = tuple(g for g in _as_poly_list(polys) if g)
     ring = algebra.ring
-    key = (ring, polys, n)
-    got = _POWER_CACHE.get(key)
-    if got is not None:
-        return got
     F = FreeModule(ring, (0,))
     if n == 0:
-        out = groebner_basis(F, [poly_in_position(F, ring.constant(1), 0)])
-    elif n == 1:
-        out = groebner_basis(F, [poly_in_position(F, g, 0) for g in polys])
-    else:
-        prev = ideal_power(algebra, polys, n - 1)
-        prods = []
-        for g in polys:
-            for h in prev.gb:
-                prods.append(poly_times_element(g, h))
-        out = groebner_basis(F, prods)
-    _POWER_CACHE[key] = out
-    return out
+        return groebner_basis(F, [poly_in_position(F, ring.constant(1), 0)])
+    if n == 1:
+        return groebner_basis(F, [poly_in_position(F, g, 0) for g in polys])
+    prev = ideal_power(algebra, polys, n - 1)
+    return groebner_basis(F, [poly_times_element(g, h)
+                              for g in polys for h in prev.gb])
 
 
 class ParameterSequence:
@@ -364,11 +374,10 @@ class ParameterSequence:
             raise PreconditionViolation("zero entry in a parameter sequence")
         self.module = module
         self.gens = gens
-        self.quotient_basis = module.submodule_with(module.ideal_multiples(gens))
+        self.quotient_basis = module.power_submodule(gens)
         if quotient_dimension(self.quotient_basis) > 0:
             raise PreconditionViolation(
                 "parameters do not cut the module down to finite length")
-        self._cache = {}
 
     @property
     def count(self) -> int:
@@ -376,9 +385,7 @@ class ParameterSequence:
 
     def covolume(self) -> int:
         """ℓ(M/QM)."""
-        if "cov" not in self._cache:
-            self._cache["cov"] = quotient_total_length(self.quotient_basis)
-        return self._cache["cov"]
+        return self.module.quotient_by_ideal(self.gens).total_length()
 
     def prefix(self, i: int):
         """The first i parameters (Q_0 is the empty sequence)."""

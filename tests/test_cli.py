@@ -184,6 +184,33 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert err.strip()
 
 
+def test_non_utf8_session_exits_two(capsys, tmp_path):
+    path = tmp_path / "utf16.ses"
+    path.write_bytes(b"\xff\xfe" + "ring R = vars x\n".encode("utf-16-le"))
+    code, out, err = shell(capsys, ["run", str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("genuslab: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(SESSIONS / "spiked_line.ses"), "--budget", "-3"],
+    ["run", str(SESSIONS / "spiked_line.ses"), "--budget", "0"],
+    ["run", str(SESSIONS / "spiked_line.ses"), "--max-n", "-4"],
+    ["corpus", "--random-seeds", "-2"],
+], ids=["budget-negative", "budget-zero", "max-n", "random-seeds"])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    # rejected by the parser before anything runs: not a failing check,
+    # a silently dropped block or a clamped table cap
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_seed_from_environment(capsys, tmp_path, monkeypatch):
     path = tmp_path / "s.ses"
     path.write_text("ring R = vars x\nideal I = x^2\nalgebra A = R / I\n"

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from genuslab import oracle
+from genuslab.corpus import random_instance
 from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
                              InfiniteLength, NonStandardGrading, NotLinearForm,
                              PreconditionViolation, RaggedMatrix,
                              SingularMatrix, ZeroModule)
 from genuslab.groebner import NEG_INF, groebner_basis
+from genuslab.invariants import _engine
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               complete_to_invertible, ideal_power,
                               idealization, invert_matrix,
@@ -107,6 +109,57 @@ def test_ideal_powers():
     q0 = ideal_power(A, [x, y], 0)
     assert q0.is_full()
     assert ideal_power(A, [x, y], 1) == ideal_basis_of(A.ring, [x, y])
+
+
+def _squared(gens, count):
+    return tuple(g * g for g in gens[:count]) + tuple(gens[count:])
+
+
+def _power_cases():
+    # each random draw with its linear Q, the first generator squared and
+    # the first two squared; then a rank-2 sum with twists (0, 2)
+    cases = []
+    for seed in range(10):
+        module, seq = random_instance(seed)
+        for count in range(min(len(seq.gens), 2) + 1):
+            cases.append((f"random{seed}-squares{count}", module,
+                          _squared(seq.gens, count)))
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    M = A.cyclic_module().direct_sum(
+        A.cyclic_module(2).quotient_by_ideal([x]))
+    assert M.twists == (0, 2)
+    cases.append(("twist-sum", M, (x + y, z - y)))
+    cases.append(("twist-sum-squares2", M, ((x + y) ** 2, (z - y) ** 2)))
+    return cases
+
+
+def test_power_submodule_matches_expanded_ideal_powers():
+    # N + Q^k F seeded level by level against the multiples of an
+    # independently expanded (polys)^k
+    for name, module, gens in _power_cases():
+        for k in range(1, 5):
+            polys = [g.component(0)
+                     for g in ideal_power(module.algebra, gens, k).gb]
+            expanded = module.submodule_with(module.ideal_multiples(polys))
+            assert module.power_submodule(gens, k) == expanded, (name, k)
+    assert module.power_submodule([]) is module.relations
+    assert module.power_submodule([], 3) is module.relations
+
+
+def test_power_submodule_is_shared():
+    # one basis of N + QF behind the parameter sequence, the table engine
+    # and the quotient module, whatever the order of the generators
+    module, seq = random_instance(7)
+    gens = seq.gens
+    assert len(gens) == 2
+    base = module.power_submodule(gens)
+    assert ParameterSequence(module, gens).quotient_basis is base
+    assert _engine(module, gens)._base is base
+    bar = module.quotient_by_ideal(gens)
+    assert bar.relations is base
+    assert bar is module.quotient_by_ideal(list(reversed(gens)))
+    assert ParameterSequence(module, gens).covolume() == bar.total_length()
 
 
 # -- annihilator --------------------------------------------------------------
