@@ -9,8 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CrossCheckFailure, GenerationFailure, PreconditionViolation
-from .invariants import (CheckResult, _ring_ideal_basis, hilbert_samuel_table,
-                         multiplicity)
+from .invariants import CheckResult, hilbert_samuel_table, multiplicity
 from .modules import GradedAlgebra, GradedModule, ParameterSequence, \
     idealization, module_from_matrix
 from .ring import Polynomial, PolyRing, binomial
@@ -47,8 +46,8 @@ def build_example44(l: int, m: int, p: int = 32003):
     # the parameters form a reduction: the square of the irrelevant ideal
     # already lies inside its multiple by the parameters
     allv = xs + ys + zs
-    square = _ring_ideal_basis(algebra, [v * w for v in allv for w in allv])
-    mixed = _ring_ideal_basis(algebra, [q * v for q in gens for v in allv])
+    square = algebra.ideal_basis(allv, times_m=True)
+    mixed = algebra.ideal_basis(gens, times_m=True)
     if square != mixed:
         raise CrossCheckFailure("parameters are not a degree-one reduction")
     seq = ParameterSequence(algebra.cyclic_module(), gens)

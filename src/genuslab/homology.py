@@ -155,12 +155,13 @@ def minimal_presentation(module: GradedModule) -> GradedModule:
                         relations_complete=True)
 
 
-def free_resolution(module: GradedModule, max_len=None) -> FreeComplex:
-    """Minimal graded free resolution over the ambient polynomial ring."""
+def free_resolution(module: GradedModule) -> FreeComplex:
+    """Minimal graded free resolution over the ambient polynomial ring; by
+    the syzygy theorem it has at most nvars differentials."""
     def build():
         mp = minimal_presentation(module)
         ring = module.algebra.ring
-        cap = ring.nvars if max_len is None else max_len
+        cap = ring.nvars
         spots = [mp.ambient]
         diffs = []
         current = mp.relations

@@ -9,11 +9,16 @@ finite differences in the binomial basis and accepts a value only after two
 overlapping windows agree and the fitted polynomial reproduces the tail of
 the table; there is no interpolation and no tolerance anywhere.
 
-Superficiality is decided exactly when Q is linear and M/QM has finite
-length: a is superficial exactly when its initial form is filter-regular on
-gr_Q(M), which the length-table engine already presents as F/N*.  Only a
-non-linear Q, or one leaving M/QM of infinite length, still goes through a
-heuristic window of colons.
+Superficiality is tested on the associated graded module that the
+length-table engine already presents as F/N*, whenever Q takes its graded
+route and M/QM has finite length.  For linear Q that module is gr_Q(M), and
+a is superficial exactly when its initial form is filter-regular on it.  For
+Q made of linear forms plus one power c·l^D it is gr_W(M), graded by the
+engine's block weight W; a filter-regular weight-D form of a proves a
+superficial, but a zero-divisor proves nothing.  The heuristic window of
+colons decides everything else: that unverified case, two or more powers, a
+generator that is not a power of a linear form, and a Q leaving M/QM of
+infinite length.
 """
 from __future__ import annotations
 
@@ -34,8 +39,8 @@ from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       present_subquotient, submodule_colon,
                       submodule_intersect, substitute_element,
                       substitute_linear)
-from .ring import (FreeElement, FreeModule, PolyRing, binomial, mono_divides,
-                   poly_in_position)
+from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, binomial,
+                   mono_divides, poly_in_position)
 
 TABLE_CAP = 64
 
@@ -50,13 +55,6 @@ def _sequence_for(module, q) -> ParameterSequence:
     if isinstance(q, ParameterSequence) and q.module is module:
         return q
     return ParameterSequence(module, _gens_for(q))
-
-
-def _ring_ideal_basis(algebra, polys):
-    F1 = FreeModule(algebra.ring, (0,))
-    gens = [poly_in_position(F1, f, 0)
-            for f in list(polys) + list(algebra.ideal_gens) if f]
-    return groebner_basis(F1, gens)
 
 
 # -- the length table ---------------------------------------------------------
@@ -160,6 +158,11 @@ class _TableEngine:
         self._outside = {}
         self._cumulative = []
         return True
+
+    def block_weight(self, e: tuple) -> int:
+        """W = D·|a| + k of the exponents e, in the engine's coordinates."""
+        b = self.block
+        return self.weight * sum(e[:b - 1]) + e[b - 1]
 
     def _outside_count(self, colon: tuple) -> int:
         """Monomials in the non-block variables outside the monomial ideal
@@ -462,9 +465,10 @@ def _windowed_superficial(a, module: GradedModule, qgens, killed,
     a window of n, after refuting on a positive-dimensional annihilator
     `killed`.  Returns (status, start).  The levels Q^k M are the module's
     power_submodule bases, shared with the direct table route.  A
-    heuristic, kept only for a Q that is not linear or leaves M/QM of
-    infinite length, where gr_Q(M) is not at hand; ROADMAP item 2 deletes
-    it."""
+    heuristic, kept for what the graded test cannot decide: a one-power Q
+    whose weight-D form of a is not filter-regular on gr_W(M), a Q with two
+    or more powers or a form that is not a power, and a Q leaving M/QM of
+    infinite length; ROADMAP item 3 deletes it."""
     if killed.dimension() > 0:
         return "refuted", None
     level = lambda k: module.power_submodule(qgens, k)
@@ -482,12 +486,11 @@ def _windowed_superficial(a, module: GradedModule, qgens, killed,
 
 
 def _graded_engine(module: GradedModule, gens):
-    """The cached table engine when Q is linear and ℓ(M/QM) is finite, so
-    that gr_Q(M) is at hand; None otherwise.  A Q with one power of a linear
-    form also takes the graded table route, but its weight grading is finer
-    than the Q-adic one, so F/N* of that basis is not gr_Q(M)."""
-    if not gens or any(q.degree != 1 for q in gens):
-        return None
+    """The cached table engine when it takes the graded route, so that the
+    associated graded module of its weight filtration is at hand: gr_Q(M)
+    itself for linear Q, and for Q made of linear forms plus one power c·l^D
+    the finer gr_W(M) of the block weight W.  None otherwise, and when
+    ℓ(M/QM) is infinite."""
     try:
         eng = _engine(module, gens)
     except InfiniteLength:
@@ -496,19 +499,20 @@ def _graded_engine(module: GradedModule, gens):
 
 
 def _initial_module(module: GradedModule, gens):
-    """N* with gr_Q(M) = F/N*, in a plain ambient and in the coordinates of
-    the table engine, where Q = (x_1..x_b).  The tangent-cone order refines
-    the x-adic filtration, so the lowest x-degree forms of its basis
-    generate N*."""
+    """N*_W with gr_W(M) = F/N*_W, in a plain ambient and in the coordinates
+    of the table engine, where Q = (x_1..x_(b-1), x_b^D) and W = D·|a| + k
+    is its block weight.  The tangent-cone order refines the W-adic
+    filtration, so the lowest-weight forms of its basis generate N*_W.  For
+    linear Q, D = 1, W is the x-degree and F/N*_W is gr_Q(M)."""
     def build():
         eng = _engine(module, gens)
-        b = eng.block
         F = FreeModule(module.algebra.ring, module.twists)
         forms = []
         for g in eng.basis_t.gb:
-            low = min(sum(e[:b]) for _, e in g.terms)
+            weights = {t: eng.block_weight(t[1]) for t in g.terms}
+            low = min(weights.values())
             forms.append(FreeElement(
-                F, {t: c for t, c in g.terms.items() if sum(t[1][:b]) == low},
+                F, {t: c for t, c in g.terms.items() if weights[t] == low},
                 _checked=True))
         initial = groebner_basis(F, forms)
         if hilbert_series(initial) != hilbert_series(module.relations):
@@ -519,14 +523,30 @@ def _initial_module(module: GradedModule, gens):
 
 
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
-    """Exact test for linear Q with ℓ(M/QM) finite: a is superficial for M
-    exactly when its initial form a* is filter-regular on G = gr_Q(M), that
-    is, when (0 :_G a*) = (N* : a*)/N* has finite length.  Its Hilbert
-    series is that of F/N* minus that of F/(N* : a*), and it has finite
-    length exactly when that series has no pole at t = 1."""
+    """Whether the weight-D form a*_W of a is filter-regular on
+    G_W = gr_W(M) = F/N*_W, that is, whether (0 :_G a*_W) = (N*_W : a*_W)/N*_W
+    has finite length.  Its Hilbert series is that of F/N*_W minus that of
+    F/(N*_W : a*_W), and it has finite length exactly when that series has
+    no pole at t = 1.
+
+    Then a is superficial for Q: if v has W-order j, with c <= j < w, and
+    av lies in F_(w+D)M, then a*_W·v* = 0, which cannot happen once c passes
+    the top weight of (0 :_G a*_W); so (F_(w+D)M : a) ∩ F_cM ⊆ F_wM, and
+    w = nD is the Q-adic statement, since Q^n M = F_(nD)M.  For linear Q
+    (D = 1) G_W is gr_Q(M) and the converse holds too.  For D > 1, False
+    when a does not have W-order exactly D (an a in Q + I but not in Q),
+    where a*_W says nothing."""
+    eng = _engine(module, gens)
+    star = substitute_linear(a, eng.change)
+    if eng.weight > 1:
+        weights = {e: eng.block_weight(e) for e in star.terms}
+        if min(weights.values()) != eng.weight:
+            return False
+        star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
+                                      if weights[e] == eng.weight},
+                          _checked=True)
     initial = _initial_module(module, gens)
-    colon = submodule_colon(
-        initial, substitute_linear(a, _engine(module, gens).change))
+    colon = submodule_colon(initial, star)
     if colon == initial:
         return True
     diff = hilbert_series(initial)
@@ -536,43 +556,49 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
 
 
 def _superficial_status(a, module: GradedModule, gens, killed=None):
-    """(status, window start) for one element: exact on gr_Q(M) when it is
-    at hand, where under --verify-gb a conclusive colon window must agree;
-    the colon window otherwise.  killed is (0 :_M a), computed here when
-    needed and not supplied."""
-    if _graded_engine(module, gens) is None:
-        if killed is None:
-            killed = _annihilator(a, module)
-        return _windowed_superficial(a, module, gens, killed)
-    exact = _graded_superficial(a, module, gens)
-    if debug_verification_enabled():
-        if killed is None:
-            killed = _annihilator(a, module)
-        window, _ = _windowed_superficial(a, module, gens, killed)
-        if window != "inconclusive" and (window == "verified") != exact:
-            raise CrossCheckFailure(
-                f"the colon window says {window} but the initial form is "
-                f"{'' if exact else 'not '}filter-regular on gr_Q(M)")
-    return ("verified" if exact else "refuted"), None
+    """(status, window start) for one element.  On the graded table route
+    a filter-regular weight-D form gives verified, and for linear Q a
+    zero-divisor gives refuted; under --verify-gb a conclusive colon window
+    must agree with either.  The colon window decides the rest: a one-power
+    Q whose form is a zero-divisor, and every Q off the graded route.
+    killed is (0 :_M a), computed here when needed and not supplied."""
+    eng = _graded_engine(module, gens)
+    if eng is not None:
+        exact = _graded_superficial(a, module, gens)
+        if exact or eng.weight == 1:
+            if debug_verification_enabled():
+                if killed is None:
+                    killed = _annihilator(a, module)
+                window, _ = _windowed_superficial(a, module, gens, killed)
+                if (window != "inconclusive"
+                        and (window == "verified") != exact):
+                    raise CrossCheckFailure(
+                        f"the colon window says {window} but the initial "
+                        f"form is {'' if exact else 'not '}filter-regular "
+                        "on the associated graded module")
+            return ("verified" if exact else "refuted"), None
+    if killed is None:
+        killed = _annihilator(a, module)
+    return _windowed_superficial(a, module, gens, killed)
 
 
 def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
     """Test a single element against the powers of the ideal: refuted when
-    its annihilator has positive dimension, then decided exactly on
-    gr_Q(M) for linear Q with ℓ(M/QM) finite, and by the three-valued
-    colon window otherwise.  A verified element in dimension >= 2
-    additionally has its effect on the Hilbert coefficients of the
-    quotient checked exactly."""
+    its annihilator has positive dimension; then, with ℓ(M/QM) finite,
+    decided exactly on gr_Q(M) for linear Q, and verified on gr_W(M) when
+    Q is linear forms plus one power and the weight-D form of a is
+    filter-regular there; by the three-valued colon window otherwise.  A
+    verified element in dimension >= 2 additionally has its effect on the
+    Hilbert coefficients of the quotient checked exactly."""
     gens = _gens_for(q)
     algebra = module.algebra
     if not a:
         raise PreconditionViolation("the zero element is never superficial")
-    inside = _ring_ideal_basis(algebra, list(gens))
+    inside = algebra.ideal_basis(gens)
     probe = poly_in_position(inside.ambient, a, 0)
     if not inside.contains(probe):
         raise PreconditionViolation("the element is not in the ideal")
-    deep = _ring_ideal_basis(algebra, [v * f for v in algebra.variables()
-                                       for f in gens])
+    deep = algebra.ideal_basis(gens, times_m=True)
     if deep.contains(poly_in_position(deep.ambient, a, 0)):
         raise PreconditionViolation(
             "the element lies in the irrelevant multiple of the ideal")
@@ -647,7 +673,8 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
     the colon test.  Each attempt draws one invertible scalar matrix per
     generator degree, then orders the new generators greedily so that every
     prefix element is superficial on the successive quotients: decided
-    exactly on gr_Q for linear Q, screened by the colon window otherwise,
+    exactly on gr_Q for linear Q, verified on gr_W for linear forms plus
+    one power, and screened by the colon window whatever that leaves open,
     where an inconclusive candidate is the fallback.  The transcript of
     attempts rides along on the returned sequence for replay."""
     seq = _sequence_for(module, q)
@@ -660,9 +687,7 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
     by_degree = {}
     for idx, g in enumerate(seq.gens):
         by_degree.setdefault(g.degree, []).append(idx)
-    deep = _ring_ideal_basis(module.algebra,
-                             [v * f for v in module.algebra.variables()
-                              for f in seq.gens])
+    deep = module.algebra.ideal_basis(seq.gens, times_m=True)
     transcript = []
     for attempt in range(budget):
         if attempt == 0:
@@ -716,7 +741,7 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
                 if status == "verified":
                     pick = idx
                     break
-                # only the colon window, for a non-linear Q, is inconclusive
+                # only the colon window is inconclusive
                 if status == "inconclusive" and fallback is None:
                     fallback = idx
             if pick is None:

@@ -52,6 +52,22 @@ class GradedAlgebra(_Memoized):
                                       for f in self.ideal_gens])
         return self._memo("defining", build)
 
+    def ideal_basis(self, polys, times_m: bool = False) -> SubmoduleBasis:
+        """Basis of the ideal (polys) + I of the polynomial ring, or of
+        m·(polys) + I when times_m, memoized under the nonzero polys.  It
+        keeps only the reduced basis, which generates the ideal too, so a
+        memoized m·Q does not hold on to its products."""
+        polys = [f for f in polys if f]
+
+        def build():
+            F = FreeModule(self.ring, (0,))
+            gens = ([v * f for v in self.variables() for f in polys]
+                    if times_m else polys)
+            gb = groebner_basis(F, [poly_in_position(F, f, 0)
+                                    for f in gens + list(self.ideal_gens)]).gb
+            return SubmoduleBasis(F, gb, gb)
+        return self._memo(("ideal", frozenset(polys), times_m), build)
+
     def dimension(self):
         return self._memo("dim", lambda: quotient_dimension(self.defining_basis()))
 

@@ -437,11 +437,70 @@ def test_verify_gb_cross_checks_the_window(monkeypatch):
 
 
 def test_nonlinear_ideal_keeps_the_window(line_with_spike):
+    # one power: the weight-D form y^2 is filter-regular on gr_W(M), so the
+    # window is never asked
     M, x, y = line_with_spike
-    assert _graded_engine(M, (y * y,)) is None
+    assert _graded_engine(M, (y * y,)).weight == 2
     assert _graded_engine(M, (y,)) is not None
     rep = is_superficial(y * y, M, (y * y,))
+    assert rep.status == "verified" and rep.window_start is None
+    # two powers leave the graded route, and the window decides
+    A, (u, v) = algebra("xy")
+    S = A.cyclic_module()
+    assert _graded_engine(S, (u * u, v * v)) is None
+    rep = is_superficial(u * u, S, (u * u, v * v))
     assert rep.status == "verified" and rep.window_start == 1
+
+
+def test_one_power_zero_divisor_goes_to_the_window():
+    # k[x,y,z]/(xz, xy) with Q = (x + y, l^2), l = x + z: on the line
+    # V(y, z) Q is (x) and l^2 = x^2 lies in Q^2, so l^2 is a zero-divisor
+    # on gr_W(M) there; the W-test proves nothing and the window decides
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * z,
+                                   lambda x, y, z: x * y])
+    M = A.cyclic_module()
+    q = (x + y, (x + z) ** 2)
+    assert _graded_engine(M, q).weight == 2
+    assert not _graded_superficial(q[1], M, q)
+    rep = is_superficial(q[1], M, q)
+    assert rep.status == "inconclusive" and rep.colon_length == 0
+    assert _graded_superficial(q[0], M, q)
+    assert is_superficial(q[0], M, q).status == "verified"
+
+
+def test_weighted_superficiality_against_the_window():
+    # one parameter squared (cubed on the first seeds): wherever the colon
+    # window is conclusive, a filter-regular weight-D form means verified
+    compared = 0
+    for seed in range(60):
+        module, seq = random_instance(seed)
+        if seq.count > 2:
+            continue  # three parameters make the window slow
+        for power in ((2, 3) if seed < 15 else (2,)):
+            gens = (seq.gens[0] ** power,) + tuple(seq.gens[1:])
+            assert _graded_engine(module, gens).weight == power
+            for a in gens:
+                weighted = _graded_superficial(a, module, gens)
+                window, _ = _windowed_superficial(a, module, gens,
+                                                  _annihilator(a, module))
+                if window != "inconclusive":
+                    assert not weighted or window == "verified", \
+                        (seed, power, str(a))
+                    compared += 1
+    assert compared >= 60
+
+
+def test_verify_gb_cross_checks_the_weighted_test(monkeypatch, line_with_spike):
+    M, x, y = line_with_spike
+    monkeypatch.setattr(invariants, "_windowed_superficial",
+                        lambda *args, **kw: ("refuted", None))
+    assert is_superficial(y * y, M, (y * y,)).status == "verified"
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure):
+            is_superficial(y * y, M, (y * y,))
+    finally:
+        set_debug_verification(False)
 
 
 # -- d-sequences --------------------------------------------------------------

@@ -33,6 +33,19 @@ def ideal_basis_of(ring, polys):
     return groebner_basis(F, [poly_in_position(F, f, 0) for f in polys])
 
 
+def test_ideal_basis_is_memoized_on_the_algebra():
+    A, (x, y) = algebra("xy", [lambda x, y: x * y])
+    first = A.ideal_basis([x, y * y])
+    assert A.ideal_basis([y * y, x - x, x]) is first
+    assert A.ideal_basis([x]) is not first
+    assert first == ideal_basis_of(A.ring, [x, y * y, x * y])
+    # m·(x) + I: the products x^2, xy are built inside and not kept
+    deep = A.ideal_basis([x], times_m=True)
+    assert A.ideal_basis([x], times_m=True) is deep
+    assert deep.gens == deep.gb
+    assert deep == ideal_basis_of(A.ring, [x * x, x * y])
+
+
 # -- colon --------------------------------------------------------------------
 
 def test_colon_standard_examples():
