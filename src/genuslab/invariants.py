@@ -9,6 +9,13 @@ finite differences in the binomial basis and accepts a value only after two
 overlapping windows agree and the fitted polynomial reproduces the tail of
 the table; there is no interpolation and no tolerance anywhere.
 
+The multiplicity e_0 needs no table when Q is a homogeneous system of
+parameters or is generated by linear forms: it is read off the one Hilbert
+series of M (Serre's formula, see `multiplicity`).  The windowed fit
+supplies e_1..e_d, and e_0 only for a Q with more than dim M generators
+that are not all linear.  Wherever a table is built anyway, its e_0 must
+equal the series value.
+
 Superficiality is tested on the associated graded module that the
 length-table engine already presents as F/N*, whenever Q takes its graded
 route and M/QM has finite length.  For linear Q that module is gr_Q(M), and
@@ -23,6 +30,7 @@ infinite length.
 from __future__ import annotations
 
 import random
+from math import prod
 from dataclasses import dataclass, field
 
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
@@ -30,8 +38,8 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
 from .groebner import (NEG_INF, debug_verification_enabled, finite_colength,
-                       groebner_basis, hilbert_series, quotient_dimension,
-                       quotient_total_length, series_dimension)
+                       groebner_basis, hilbert_series, quotient_total_length,
+                       series_dimension)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       complete_to_invertible, echelon_insert, invert_matrix,
@@ -90,9 +98,7 @@ class _TableEngine:
         self.gens = tuple(gens)
         self.values = []
         self._base = module.power_submodule(gens)
-        if quotient_dimension(self._base) > 0:
-            raise InfiniteLength(
-                "the ideal does not cut the module down to finite length")
+        _require_finite_colength(module, gens)
         self.graded = (module.rank > 0 and bool(self.gens)
                        and self._prepare_graded())
 
@@ -202,7 +208,8 @@ class _TableEngine:
             n = len(self.values)
             if self.graded:
                 v = self._graded_value(n)
-                if n == 0 and v != quotient_total_length(self._base):
+                if n == 0 and v != self.module.quotient_by_ideal(
+                        self.gens).total_length():
                     raise CrossCheckFailure(
                         "fast and direct covolumes disagree")
                 if (n == 1 and debug_verification_enabled()
@@ -215,6 +222,14 @@ class _TableEngine:
                 raise CrossCheckFailure("length table decreased")
             self.values.append(v)
         return list(self.values[:top + 1])
+
+
+def _require_finite_colength(module: GradedModule, gens) -> None:
+    """InfiniteLength unless ℓ(M/QM) is finite; M/QM is the memoized
+    quotient module that the covolume reads too."""
+    if module.quotient_by_ideal(gens).dimension() > 0:
+        raise InfiniteLength(
+            "the ideal does not cut the module down to finite length")
 
 
 def _engine(module: GradedModule, gens) -> _TableEngine:
@@ -333,19 +348,58 @@ def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
             raise ZeroModule("the zero module has no Hilbert coefficients")
         s = max(int(s), 0)
         table = hilbert_samuel_table(module, gens, min(s + 4, TABLE_CAP))
-        return hilbert_coefficients(table, s)
+        coeffs = hilbert_coefficients(table, s)
+        series = _series_multiplicity(module, gens)
+        if series is not None and series != coeffs.e[0]:
+            raise CrossCheckFailure(
+                f"multiplicity {coeffs.e[0]} from the length table, "
+                f"{series} from the Hilbert series")
+        return coeffs
     return module._memo(("hscoeffs", frozenset(gens)), build)
 
 
+def _series_multiplicity(module: GradedModule, gens):
+    """e_Q(M) read off the Hilbert series of M, for a nonzero M; None where
+    the series does not give it, for a Q with more than dim M generators
+    that are not all linear.  InfiniteLength when ℓ(M/QM) is infinite."""
+    s = module.dimension()
+    if len(gens) != s and any(g.degree != 1 for g in gens):
+        return None
+    _require_finite_colength(module, gens)
+    if len(gens) == s:
+        return module.degree() * prod(g.degree for g in gens)
+    return module.degree()
+
+
 def multiplicity(module: GradedModule, q) -> int:
-    """Leading coefficient of the length polynomial; total length in
-    dimension zero."""
+    """The multiplicity e_Q(M), the leading coefficient of the length
+    polynomial; the total length in dimension zero, and 0 for M = 0.
+
+    For positive dimension d it is read off the Hilbert series of M, whose
+    multiplicity e(M) = h(1) the module keeps with its dimension, whenever
+    one of two conditions holds (InfiniteLength when ℓ(M/QM) is infinite):
+
+    - Q has d generators q_1..q_d, a homogeneous system of parameters.
+      Then e_Q(M) = χ(q; M) = deg q_1 ⋯ deg q_d · e(M) (Serre's formula;
+      Bruns–Herzog, Cohen–Macaulay Rings, 4.6–4.7).
+    - Q is generated by linear forms, in any number.  With ℓ(M/QM) finite
+      such a Q is a reduction of the maximal ideal on M, so e_Q(M) = e(M)
+      (Huneke–Swanson, Integral Closure, ch. 8 and 11).
+
+    Otherwise, for a Q with more than d generators not all linear, where the
+    plain degree product is wrong, e_0 comes from the length table.  Under
+    --verify-gb the table is built in every case, and module_coefficients
+    requires its e_0 to equal the series value."""
     s = module.dimension()
     if s == NEG_INF:
         return 0
     if s <= 0:
         return module.total_length()
-    return module_coefficients(module, q).e[0]
+    gens = _gens_for(q)
+    e0 = _series_multiplicity(module, gens)
+    if e0 is None or debug_verification_enabled():
+        return module_coefficients(module, gens).e[0]
+    return e0
 
 
 # -- the paired genus and Euler characteristic --------------------------------
@@ -522,6 +576,19 @@ def _initial_module(module: GradedModule, gens):
     return module._memo(("initial", frozenset(gens)), build)
 
 
+def _tangent_ideal(module: GradedModule, gens):
+    """Basis of the algebra's defining ideal I in the coordinates of the
+    table engine, in its weighted tangent-cone order."""
+    def build():
+        eng = _engine(module, gens)
+        F = FreeModule(module.algebra.ring, (0,), tangent_block=eng.block,
+                       tangent_weight=eng.weight)
+        return groebner_basis(F, [
+            poly_in_position(F, substitute_linear(f, eng.change), 0)
+            for f in module.algebra.ideal_gens])
+    return module._memo(("tangent ideal", frozenset(gens)), build)
+
+
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
     """Whether the weight-D form a*_W of a is filter-regular on
     G_W = gr_W(M) = F/N*_W, that is, whether (0 :_G a*_W) = (N*_W : a*_W)/N*_W
@@ -533,18 +600,26 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
     av lies in F_(w+D)M, then a*_W·v* = 0, which cannot happen once c passes
     the top weight of (0 :_G a*_W); so (F_(w+D)M : a) ∩ F_cM ⊆ F_wM, and
     w = nD is the Q-adic statement, since Q^n M = F_(nD)M.  For linear Q
-    (D = 1) G_W is gr_Q(M) and the converse holds too.  For D > 1, False
-    when a does not have W-order exactly D (an a in Q + I but not in Q),
-    where a*_W says nothing."""
+    (D = 1) G_W is gr_Q(M) and the converse holds too.
+
+    a acts on M only through its class modulo the defining ideal I.  An a
+    given in Q + I but not in Q has terms of weight below D; it is replaced
+    by its normal form modulo I in the tangent-cone order, which takes
+    leads from the lowest-weight forms, so that the normal form has the
+    largest W-order among the representatives of a.  False when that
+    W-order is not exactly D, where a*_W says nothing.  (An a of W-order
+    above D lies in mQ + I.)"""
     eng = _engine(module, gens)
     star = substitute_linear(a, eng.change)
-    if eng.weight > 1:
-        weights = {e: eng.block_weight(e) for e in star.terms}
-        if min(weights.values()) != eng.weight:
-            return False
-        star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
-                                      if weights[e] == eng.weight},
-                          _checked=True)
+    if min(eng.block_weight(e) for e in star.terms) < eng.weight:
+        ideal = _tangent_ideal(module, gens)
+        star = ideal.normal_form(
+            poly_in_position(ideal.ambient, star, 0)).component(0)
+    weights = {e: eng.block_weight(e) for e in star.terms}
+    if not weights or min(weights.values()) != eng.weight:
+        return False
+    star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
+                                  if weights[e] == eng.weight}, _checked=True)
     initial = _initial_module(module, gens)
     colon = submodule_colon(initial, star)
     if colon == initial:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from .errors import (DependentRows, IncompleteBasis, InfiniteLength,
                      NonStandardGrading, NotLinearForm, PreconditionViolation,
                      RaggedMatrix, SingularMatrix, ZeroModule)
-from .groebner import (NEG_INF, SubmoduleBasis, groebner_basis, kernel_of_map,
-                       quotient_dimension, quotient_hilbert_function,
-                       quotient_total_length)
+from .groebner import (NEG_INF, SubmoduleBasis, groebner_basis, hilbert_series,
+                       kernel_of_map, quotient_dimension,
+                       quotient_hilbert_function, quotient_total_length,
+                       series_dimension)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -120,15 +121,28 @@ class GradedModule(_Memoized):
     def rank(self) -> int:
         return len(self.twists)
 
+    def _series(self):
+        """(d, e) of the module's one Hilbert series: the Krull dimension
+        and the multiplicity e(M) = h(1), which is the length when d = 0."""
+        return self._memo("dim", lambda: series_dimension(
+            hilbert_series(self.relations), self.algebra.ring.nvars))
+
     def dimension(self):
         """Krull dimension; -inf for the zero module."""
-        return self._memo("dim", lambda: quotient_dimension(self.relations))
+        return self._series()[0]
+
+    def degree(self) -> int:
+        """The multiplicity e(M) of the Hilbert series; 0 for M = 0."""
+        return self._series()[1]
 
     def is_zero(self) -> bool:
         return self.relations.is_full()
 
     def total_length(self) -> int:
-        return self._memo("len", lambda: quotient_total_length(self.relations))
+        d, e = self._series()
+        if d > 0:
+            raise InfiniteLength(f"quotient has dimension {d}")
+        return e
 
     def hilbert_function(self, t: int) -> int:
         return quotient_hilbert_function(self.relations, t)
@@ -391,7 +405,7 @@ class ParameterSequence:
         self.module = module
         self.gens = gens
         self.quotient_basis = module.power_submodule(gens)
-        if quotient_dimension(self.quotient_basis) > 0:
+        if module.quotient_by_ideal(gens).dimension() > 0:
             raise PreconditionViolation(
                 "parameters do not cut the module down to finite length")
 
@@ -411,22 +425,29 @@ class ParameterSequence:
 # -- linear algebra over the prime field -------------------------------------
 
 def invert_matrix(rows, p: int):
-    """Inverse of a square matrix over Z/p; SingularMatrix if singular."""
+    """Inverse of a square matrix over Z/p; SingularMatrix if singular.
+
+    Gauss-Jordan on [A | I] through echelon_insert.  The forward pass puts
+    the rows in echelon form, and A is invertible exactly when every lead
+    falls in the A half.  Sorted by lead, the rows are then inserted again
+    from the last to the first, which clears every entry above a lead, so
+    they become [I | A^-1]."""
     n = len(rows)
-    aug = [[rows[i][j] % p for j in range(n)] + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise SingularMatrix("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(a - c * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    forward = []
+    for i, row in enumerate(rows):
+        echelon_insert(forward, [row[j] for j in range(n)]
+                       + [1 if j == i else 0 for j in range(n)], p)
+    forward.sort(key=_lead)
+    if [_lead(row) for row in forward] != list(range(n)):
+        raise SingularMatrix("singular matrix")
+    back = []
+    for row in reversed(forward):
+        echelon_insert(back, row, p)
+    return [row[n:] for row in reversed(back)]
+
+
+def _lead(row):
+    return next((i for i, c in enumerate(row) if c), None)
 
 
 def echelon_insert(echelon: list, row, p: int) -> bool:
@@ -435,11 +456,10 @@ def echelon_insert(echelon: list, row, p: int) -> bool:
     a row in their span leaves the list unchanged (False)."""
     vec = [c % p for c in row]
     for prow in echelon:
-        lead = next(i for i, c in enumerate(prow) if c)
-        c = vec[lead]
+        c = vec[_lead(prow)]
         if c:
             vec = [(a - c * b) % p for a, b in zip(vec, prow)]
-    lead = next((i for i, c in enumerate(vec) if c), None)
+    lead = _lead(vec)
     if lead is None:
         return False
     inv = pow(vec[lead], p - 2, p)

@@ -10,8 +10,9 @@ import hypothesis.strategies as st
 from genuslab import invariants
 from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
-                             NoStabilization, NotFoundWithinBudget,
-                             NotGeneralizedCM, PreconditionViolation)
+                             InfiniteLength, NoStabilization,
+                             NotFoundWithinBudget, NotGeneralizedCM,
+                             PreconditionViolation)
 from genuslab.groebner import quotient_total_length, set_debug_verification
 from genuslab.homology import dual_sections
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
@@ -274,6 +275,87 @@ def test_split_summand_coefficients():
     assert sectional_genus(M, (x, y)) == 1
 
 
+# -- e0 from the Hilbert series -----------------------------------------------
+
+def _table_e0(module, gens):
+    s = max(int(module.dimension()), 0)
+    return hilbert_coefficients(hilbert_samuel_table(module, gens), s).e[0]
+
+
+def _series_e0_cases():
+    # random draws with the drawn linear Q, the first parameter squared and
+    # cubed, and one extra linear generator; the twisted rank-2 sum
+    cases = []
+    for seed in list(range(20)) + [38]:
+        module, seq = random_instance(seed)
+        g = seq.gens
+        v = module.algebra.variables()
+        extra = sum(v[1:], v[0])
+        cases += [(module, g), (module, (g[0] ** 2,) + g[1:]),
+                  (module, (g[0] ** 3,) + g[1:]), (module, g + (extra,))]
+    return cases + _unequal_twist_sum()
+
+
+def test_series_multiplicity_matches_the_table():
+    # e0 off the Hilbert series against the table's binomial fit, on the
+    # modules and on their Ext duals under the same Q; a Q with more than
+    # dim generators not all linear stays on the table
+    compared = tabled = 0
+    for module, gens in _series_e0_cases():
+        for m in [module] + [ds.module for ds in dual_sections(module)]:
+            if m.is_zero():
+                continue
+            want = _table_e0(m, gens)
+            series = invariants._series_multiplicity(m, gens)
+            linear = all(g.degree == 1 for g in gens)
+            if len(gens) > m.dimension() and not linear:
+                assert series is None
+                assert multiplicity(m, gens) == want
+                if m.dimension() > 0:
+                    assert ("hscoeffs", frozenset(gens)) in m._cache
+                    tabled += 1
+                continue
+            assert series == want, (m, [str(g) for g in gens])
+            assert multiplicity(m, gens) == want
+            compared += m.dimension() > 0
+    assert compared >= 80 and tabled >= 10, (compared, tabled)
+
+
+def test_multiplicity_of_a_nonparameter_nonlinear_ideal():
+    # Q = m^2 on k[x,y]: three generators for dimension two, so the degree
+    # product 8 is wrong; e_Q = 4 comes from the table
+    A, (x, y) = algebra("xy")
+    S = A.cyclic_module()
+    q = (x * x, x * y, y * y)
+    assert invariants._series_multiplicity(S, q) is None
+    assert multiplicity(S, q) == 4
+    assert multiplicity(S, (x * x, y ** 3)) == 6  # Serre: 2 * 3 * e(S)
+    assert multiplicity(S, (x, y, x + y)) == 1  # linear: a reduction of m
+
+
+def test_series_multiplicity_needs_finite_colength(line_with_spike):
+    M, x, y = line_with_spike
+    with pytest.raises(InfiniteLength):
+        multiplicity(M, (x,))
+    with pytest.raises(InfiniteLength):
+        module_coefficients(M, (x,))
+
+
+def test_wrong_series_multiplicity_is_caught(monkeypatch):
+    degree = GradedModule.degree
+    monkeypatch.setattr(GradedModule, "degree", lambda self: degree(self) + 1)
+    module, seq = random_instance(5)
+    with pytest.raises(CrossCheckFailure):
+        module_coefficients(module, seq.gens)
+    assert multiplicity(module, seq.gens) == _table_e0(module, seq.gens) + 1
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure):
+            multiplicity(module, seq.gens)
+    finally:
+        set_debug_verification(False)
+
+
 # -- chi and the two routes ---------------------------------------------------
 
 def test_chi_line_with_spike(line_with_spike):
@@ -352,6 +434,19 @@ def test_superficial_verified_with_consequences():
     rep = is_superficial(x, M, (x, y))
     assert rep.status == "verified"
     assert rep.colon_length == 1
+
+
+def test_superficial_element_in_q_plus_i():
+    # k[x,y]/(x - y), Q = (x): y is x in the algebra, so its initial form
+    # is read off its normal form modulo the ideal, not off y as given
+    A, (x, y) = algebra("xy", [lambda x, y: x - y])
+    rep = is_superficial(y, A.cyclic_module(), (x,))
+    assert rep.status == "verified"
+    set_debug_verification(True)
+    try:
+        assert is_superficial(y, A.cyclic_module(), (x,)).status == "verified"
+    finally:
+        set_debug_verification(False)
 
 
 def test_superficial_refuted():

@@ -241,6 +241,20 @@ def test_length_and_additivity():
         A.cyclic_module().total_length()
 
 
+def test_one_series_gives_dimension_length_and_degree():
+    # k[x,y,z]/(x^2, xy): a plane with an embedded line, e(M) = 1; twisting
+    # a summand moves the series but not its multiplicity
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    M = A.cyclic_module()
+    assert (M.dimension(), M.degree()) == (2, 1)
+    assert M.direct_sum(A.cyclic_module(2)).degree() == 2
+    fin = M.quotient_by_ideal([y, z])
+    assert (fin.dimension(), fin.degree(), fin.total_length()) == (0, 2, 2)
+    assert zero_module(A).degree() == 0
+    assert M._cache["dim"] == (2, 1)
+
+
 def test_quotient_by_ideal_edges():
     A, (x, y) = algebra("xy", [lambda x, y: x * x])
     M = A.cyclic_module()
