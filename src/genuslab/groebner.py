@@ -523,6 +523,17 @@ def hilbert_series(basis: SubmoduleBasis) -> dict:
     return {j: c for j, c in out.items() if c}
 
 
+def combine_series(*parts) -> dict:
+    """The numerator sum of sign·t^shift·num over the (sign, shift, num)
+    parts, zero coefficients dropped: how exact sequences of graded
+    modules add and shift Hilbert series over a common (1-t)^n."""
+    out = {}
+    for sign, shift, num in parts:
+        for j, c in num.items():
+            out[j + shift] = out.get(j + shift, 0) + sign * c
+    return {j: c for j, c in out.items() if c}
+
+
 def series_dimension(num: dict, n: int):
     """(d, e) for the series num/(1-t)^n of a graded module: d is the pole
     order at t = 1, the Krull dimension, and e = h(1) for the numerator h
@@ -563,6 +574,15 @@ def finite_colength(leads, n: int) -> int:
     return e
 
 
+def series_length(num: dict, n: int) -> int:
+    """The length of the module with series num/(1-t)^n, its value at
+    t = 1; InfiniteLength when the series has a pole there."""
+    d, e = series_dimension(num, n)
+    if d > 0:
+        raise InfiniteLength(f"quotient has dimension {d}")
+    return e
+
+
 def quotient_dimension(basis: SubmoduleBasis):
     """Krull dimension of ambient/basis: the pole order at t = 1 of its
     Hilbert series.  -inf for the zero quotient."""
@@ -575,7 +595,4 @@ def quotient_hilbert_function(basis: SubmoduleBasis, t: int) -> int:
 
 def quotient_total_length(basis: SubmoduleBasis) -> int:
     """Length of ambient/basis; InfiniteLength when the dimension is > 0."""
-    d, e = series_dimension(hilbert_series(basis), basis.ambient.ring.nvars)
-    if d > 0:
-        raise InfiniteLength(f"quotient has dimension {d}")
-    return e
+    return series_length(hilbert_series(basis), basis.ambient.ring.nvars)

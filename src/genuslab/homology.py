@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from . import oracle
 from .errors import CrossCheckFailure, ZeroModule
 from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
-                       debug_verification_enabled, groebner_basis,
-                       kernel_of_map)
+                       combine_series, debug_verification_enabled,
+                       groebner_basis, hilbert_series, kernel_of_map,
+                       series_length)
 from .modules import (GradedModule, echelon_insert, present_subquotient,
                       zero_module)
 from .ring import FreeElement, FreeModule, poly_times_element
@@ -351,13 +352,29 @@ def koszul_complex(seq, module: GradedModule = None) -> FreeComplex:
 
 def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
     """Exact lengths of the homology of the sequence's complex with
-    coefficients in the presented module, spots 0..d."""
+    coefficients in the presented module, spots 0..d.
+
+    The complex is K_i = F_i/N_i, with N_i the relation blocks of F_i.  At
+    spot i the boundaries B_i are the image of F_(i+1) plus N_i, and the
+    cycles Z_i the preimage of N_(i-1), so that H_i = Z_i/B_i and
+    HS(H_i) = HS(F_i/B_i) - HS(F_i/Z_i).  The differential maps F_i/Z_i
+    isomorphically onto B_(i-1)/N_(i-1), in degree 0 on the twisted spots,
+    so HS(F_i/Z_i) = HS(F_(i-1)/N_(i-1)) - HS(F_(i-1)/B_(i-1)), where
+    F_(i-1)/N_(i-1) is one copy of F/N per (i-1)-subset T, twisted by
+    deg a_T.  So every length is read off the one basis of each B_i, with
+    no kernel and no presentation of H_i (additivity of Hilbert series,
+    Bruns-Herzog, Cohen-Macaulay Rings, 4.1): it is the value of that
+    difference at t = 1, and InfiniteLength when the difference has a pole
+    there, as total_length raises.  Under --verify-gb each H_i is also
+    presented from the kernel Z_i and its length compared."""
     m = module if module is not None else seq.module
     cx = koszul_complex(seq, m)
     algebra = m.algebra
     n_gb = m.relations.gb
     r = m.ambient.rank
     d = seq.count
+    degs = [a.degree for a in seq.gens]
+    relation_series = hilbert_series(m.relations)
 
     def blocks(spot: FreeModule):
         nblocks = spot.rank // r if r else 0
@@ -370,17 +387,37 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
         return out
 
     lengths = []
+    below = None  # HS(F_(i-1)/B_(i-1))
     for i in range(d + 1):
         spot = cx.spots[i]
-        if i == 0:
-            top = [spot.generator(b) for b in range(spot.rank)]
-        else:
-            u = kernel_of_map(cx.diffs[i - 1],
-                              list(spot.twists), cx.spots[i - 1],
-                              relations=blocks(cx.spots[i - 1]))
-            top = [FreeElement(spot, dict(g.terms), _checked=True) for g in u.gb]
         bottom_gens = list(cx.diffs[i]) if i < d else []
         bottom = groebner_basis(spot, bottom_gens + blocks(spot))
-        h = present_subquotient(algebra, top, bottom, spot)
-        lengths.append(h.total_length())
+        if i == 0:
+            cycles = {}  # Z_0 = F_0
+        else:
+            cycles = combine_series(
+                *[(1, sum(degs[j] for j in T), relation_series)
+                  for T in itertools.combinations(range(d), i - 1)],
+                (-1, 0, below))
+        boundaries = hilbert_series(bottom)
+        length = series_length(combine_series((1, 0, boundaries),
+                                              (-1, 0, cycles)),
+                               algebra.ring.nvars)
+        if debug_verification_enabled():
+            if i == 0:
+                top = [spot.generator(b) for b in range(spot.rank)]
+            else:
+                u = kernel_of_map(cx.diffs[i - 1],
+                                  list(spot.twists), cx.spots[i - 1],
+                                  relations=blocks(cx.spots[i - 1]))
+                top = [FreeElement(spot, dict(g.terms), _checked=True)
+                       for g in u.gb]
+            presented = present_subquotient(algebra, top, bottom,
+                                            spot).total_length()
+            if presented != length:
+                raise CrossCheckFailure(
+                    f"koszul_homology_lengths at spot {i}: length {length} "
+                    f"from the series, {presented} from the presentation")
+        lengths.append(length)
+        below = boundaries
     return lengths

@@ -26,6 +26,18 @@ superficial, but a zero-divisor proves nothing.  The heuristic window of
 colons decides everything else: that unverified case, two or more powers, a
 generator that is not a power of a linear form, and a Q leaving M/QM of
 infinite length.
+
+A colon, an intersection or a presentation that is only compared or
+measured is never built: its Hilbert series is read off the one basis of a
+sum, by additivity along a short exact sequence.  For f of degree δ,
+0 -> (F/(N : f))(-δ) -> F/N -> F/(N + fF) -> 0 gives
+HS(F/(N : f)) = t^-δ·(HS(F/N) - HS(F/(N + fF))) (`colon_series`), and
+0 -> F/(A ∩ B) -> F/A ⊕ F/B -> F/(A + B) -> 0 gives the intersection.  The
+steps of the colon window, the d-sequence colon test, the filter-regularity
+test, the Prop 3.8 colon defect and the Thm 3.4 intersection all compare or
+measure such series; for a submodule that contains another, equal series
+mean equal submodules.  Under --verify-gb each of them is also built as a
+kernel and must agree.
 """
 from __future__ import annotations
 
@@ -37,13 +49,13 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, debug_verification_enabled, finite_colength,
-                       groebner_basis, hilbert_series, quotient_total_length,
-                       series_dimension)
+from .groebner import (NEG_INF, combine_series, debug_verification_enabled,
+                       finite_colength, groebner_basis, hilbert_series,
+                       quotient_total_length, series_dimension, series_length)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
-                      complete_to_invertible, echelon_insert, invert_matrix,
-                      linear_coefficients, power_of_linear_form,
+                      colon_series, complete_to_invertible, echelon_insert,
+                      invert_matrix, linear_coefficients, power_of_linear_form,
                       present_subquotient, submodule_colon,
                       submodule_intersect, substitute_element,
                       substitute_linear)
@@ -517,21 +529,48 @@ def _windowed_superficial(a, module: GradedModule, qgens, killed,
                           c_max=3, window=2):
     """Colon-window test: (Q^{n+1}M : a) ∩ Q^c M = Q^n M for c <= c_max and
     a window of n, after refuting on a positive-dimensional annihilator
-    `killed`.  Returns (status, start).  The levels Q^k M are the module's
-    power_submodule bases, shared with the direct table route.  A
+    `killed`.  Returns (status, start).  The levels L_k = N + Q^k F are the
+    module's power_submodule bases, shared with the direct table route.  A
     heuristic, kept for what the graded test cannot decide: a one-power Q
     whose weight-D form of a is not filter-regular on gr_W(M), a Q with two
     or more powers or a form that is not a power, and a Q leaving M/QM of
-    infinite length; ROADMAP item 3 deletes it."""
+    infinite length; ROADMAP item 3 deletes it.
+
+    Each (c, n) is read off Hilbert series, with no colon or intersection
+    built.  a must lie in Q + I, as every caller ensures: then a·L_n lies
+    in L_(n+1), and v -> av maps Q^cM/Q^nM to M/Q^(n+1)M with kernel
+    lhs/L_n, where lhs = (L_(n+1) : a) ∩ L_c.  So lhs = L_n exactly when
+    HS(F/L_n) - HS(F/L_c) - HS(L_c/lhs) is zero.  HS(L_c/lhs) is the
+    colon_series of L_(n+1) by a within the basis elements of L_c outside
+    L_n, which generate L_c modulo L_n: one basis of L_(n+1) plus their
+    multiples by a, and none at n = c, where the step always holds.  Under
+    --verify-gb every step is also decided by the colon and the
+    intersection, and the two must agree."""
     if killed.dimension() > 0:
         return "refuted", None
     level = lambda k: module.power_submodule(qgens, k)
+    series = {}
+
+    def level_series(k):
+        if k not in series:
+            series[k] = hilbert_series(level(k))
+        return series[k]
+
     for c in range(1, c_max + 1):
         good = True
         for n in range(c, c + window + 1):
-            lhs = submodule_intersect(
-                submodule_colon(level(n + 1), a), level(c))
-            if lhs != level(n):
+            outside = [g for g in level(c).gb if not level(n).contains(g)]
+            kernel = combine_series(
+                (1, 0, level_series(n)), (-1, 0, level_series(c)),
+                (-1, 0, colon_series(level(n + 1), a, outside)))
+            if debug_verification_enabled():
+                lhs = submodule_intersect(
+                    submodule_colon(level(n + 1), a), level(c))
+                if (lhs == level(n)) != (not kernel):
+                    raise CrossCheckFailure(
+                        f"_windowed_superficial at c = {c}, n = {n}: the "
+                        "kernel series and the colon disagree")
+            if kernel:
                 good = False
                 break
         if good:
@@ -593,7 +632,8 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
     """Whether the weight-D form a*_W of a is filter-regular on
     G_W = gr_W(M) = F/N*_W, that is, whether (0 :_G a*_W) = (N*_W : a*_W)/N*_W
     has finite length.  Its Hilbert series is that of F/N*_W minus that of
-    F/(N*_W : a*_W), and it has finite length exactly when that series has
+    F/(N*_W : a*_W), which colon_series reads off one basis of
+    N*_W + a*_W·F, and it has finite length exactly when that series has
     no pole at t = 1.
 
     Then a is superficial for Q: if v has W-order j, with c <= j < w, and
@@ -621,12 +661,12 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
     star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
                                   if weights[e] == eng.weight}, _checked=True)
     initial = _initial_module(module, gens)
-    colon = submodule_colon(initial, star)
-    if colon == initial:
-        return True
-    diff = hilbert_series(initial)
-    for j, c in hilbert_series(colon).items():
-        diff[j] = diff.get(j, 0) - c
+    quotient = colon_series(initial, star)
+    if (debug_verification_enabled() and quotient
+            != hilbert_series(submodule_colon(initial, star))):
+        raise CrossCheckFailure(
+            "_graded_superficial: the colon series and the colon disagree")
+    diff = combine_series((1, 0, hilbert_series(initial)), (-1, 0, quotient))
     return series_dimension(diff, module.algebra.ring.nvars)[0] <= 0
 
 
@@ -636,25 +676,33 @@ def _superficial_status(a, module: GradedModule, gens, killed=None):
     zero-divisor gives refuted; under --verify-gb a conclusive colon window
     must agree with either.  The colon window decides the rest: a one-power
     Q whose form is a zero-divisor, and every Q off the graded route.
-    killed is (0 :_M a), computed here when needed and not supplied."""
-    eng = _graded_engine(module, gens)
-    if eng is not None:
-        exact = _graded_superficial(a, module, gens)
-        if exact or eng.weight == 1:
-            if debug_verification_enabled():
-                if killed is None:
-                    killed = _annihilator(a, module)
-                window, _ = _windowed_superficial(a, module, gens, killed)
-                if (window != "inconclusive"
-                        and (window == "verified") != exact):
-                    raise CrossCheckFailure(
-                        f"the colon window says {window} but the initial "
-                        f"form is {'' if exact else 'not '}filter-regular "
-                        "on the associated graded module")
-            return ("verified" if exact else "refuted"), None
-    if killed is None:
-        killed = _annihilator(a, module)
-    return _windowed_superficial(a, module, gens, killed)
+    killed is (0 :_M a), computed here when needed and not supplied.
+    Memoized on the module per element and set of generators, since the
+    d-sequence search asks again for the candidates of every attempt, and
+    per --verify-gb state, so that a verdict reached unchecked is never
+    handed out as a checked one."""
+    def build():
+        eng = _graded_engine(module, gens)
+        ann = killed
+        if eng is not None:
+            exact = _graded_superficial(a, module, gens)
+            if exact or eng.weight == 1:
+                if debug_verification_enabled():
+                    if ann is None:
+                        ann = _annihilator(a, module)
+                    window, _ = _windowed_superficial(a, module, gens, ann)
+                    if (window != "inconclusive"
+                            and (window == "verified") != exact):
+                        raise CrossCheckFailure(
+                            f"the colon window says {window} but the initial "
+                            f"form is {'' if exact else 'not '}filter-regular "
+                            "on the associated graded module")
+                return ("verified" if exact else "refuted"), None
+        if ann is None:
+            ann = _annihilator(a, module)
+        return _windowed_superficial(a, module, gens, ann)
+    return module._memo(("superficial", a, frozenset(gens),
+                         debug_verification_enabled()), build)
 
 
 def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
@@ -722,8 +770,13 @@ class DSequenceReport:
 
 def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
     """Colon test over all index pairs: the colon of each prefix submodule
-    by a product of two later entries must equal the colon by the second
-    factor alone.  Reduced bases make the comparison canonical."""
+    P by a product of two later entries must equal the colon by the second
+    factor alone.  P : a_j lies inside P : a_i·a_j, so the two are equal
+    exactly when F modulo each has the same Hilbert series, which
+    colon_series reads off one basis of P + fF each.  The colons are built
+    only for a failing pair, to name a witness from the reduced bases, and
+    under --verify-gb for every pair, where they must agree with the
+    series."""
     if module is not None and (not isinstance(seq, ParameterSequence)
                                or seq.module is not module):
         seq = ParameterSequence(module, _gens_for(seq))
@@ -733,9 +786,19 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
         prefix = m.power_submodule(seq.prefix(i - 1))
         for j in range(i, d + 1):
             ai, aj = seq.gens[i - 1], seq.gens[j - 1]
+            # P + a_i·F is the next prefix level, memoized on the module
+            same = colon_series(prefix, ai * aj) == colon_series(
+                prefix, aj, extended=(m.power_submodule(seq.prefix(i))
+                                      if j == i else None))
+            if same and not debug_verification_enabled():
+                continue
             lhs = submodule_colon(prefix, ai * aj)
             rhs = submodule_colon(prefix, aj)
-            if lhs != rhs:
+            if (lhs == rhs) != same:
+                raise CrossCheckFailure(
+                    f"is_d_sequence at {(i, j)}: the colon series and the "
+                    "colons disagree")
+            if not same:
                 witness = next((g for g in lhs.gb if rhs.normal_form(g)), None)
                 return DSequenceReport(False, (i, j),
                                        str(witness) if witness else None)
@@ -873,10 +936,22 @@ def check_prop38(module: GradedModule, seq) -> DSequenceCoefficientReport:
     e = c.e
     checks = []
     if d >= 1:
+        # ℓ((P : a_d)/P) for P = N + (a_1..a_(d-1))F, off the series of
+        # F/P and F/(P : a_d); P + a_d·F is the memoized quotient basis
         prev = module.power_submodule(seq.prefix(d - 1))
-        colon = submodule_colon(prev, seq.gens[d - 1])
-        extra = present_subquotient(module.algebra, list(colon.gb), prev,
-                                    module.ambient).total_length()
+        extra = series_length(combine_series(
+            (1, 0, hilbert_series(prev)),
+            (-1, 0, colon_series(prev, seq.gens[d - 1],
+                                 extended=seq.quotient_basis))),
+            module.algebra.ring.nvars)
+        if debug_verification_enabled():
+            colon = submodule_colon(prev, seq.gens[d - 1])
+            if extra != present_subquotient(
+                    module.algebra, list(colon.gb), prev,
+                    module.ambient).total_length():
+                raise CrossCheckFailure(
+                    "check_prop38: the colon defect from the series and "
+                    "from the colon disagree")
         got = seq.covolume() - extra
         checks.append(CheckResult(
             "leading coefficient from the top colon",
@@ -981,9 +1056,8 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
         consequences.append(CheckResult(
             "closed form reproduces the table", "pass",
             {"window": list(table.values[:d + 4])}))
-        qb = module.power_submodule(seq.gens)
-        inter = submodule_intersect(qb, module.h0_submodule())
-        if not module.relations.contains_all(inter.gb):
+        if not _meet_is_relations(module, module.power_submodule(seq.gens),
+                                  module.h0_submodule()):
             raise CrossCheckFailure(
                 "the parameter multiples meet the finite sections")
         consequences.append(CheckResult(
@@ -1131,14 +1205,32 @@ def _section_transfer(module, seq, c) -> CheckResult:
     cov = hilbert_samuel_table(chopped, gens, 0).values[0]
     eq_c = (cov - cc.e[0] + cc.e[1]
             == hdeg(chopped, gens) - cc.e[0] - torsion(chopped, gens, 1))
-    qb = module.power_submodule(gens)
-    inter = submodule_intersect(qb, h0b)
-    trivial = module.relations.contains_all(inter.gb)
+    trivial = _meet_is_relations(module, module.power_submodule(gens), h0b)
     return CheckResult(
         "equality transfer past the finite sections",
         "pass" if eq_m == (eq_c and trivial) else "fail",
         {"equality": eq_m, "chopped equality": eq_c,
          "intersection trivial": trivial})
+
+
+def _meet_is_relations(module: GradedModule, first, second) -> bool:
+    """Whether two submodules containing the relations N meet in N alone.
+    The intersection contains N, so it is N exactly when F modulo it has
+    the series of F/N, and HS(F/(A ∩ B)) = HS(F/A) + HS(F/B) - HS(F/(A + B))
+    by the exact sequence 0 -> F/(A ∩ B) -> F/A ⊕ F/B -> F/(A + B) -> 0.
+    One basis of A + B, with A's as its prefix; under --verify-gb the
+    intersection is built too, and the two must agree."""
+    both = groebner_basis(module.ambient, list(first.gb) + list(second.gb),
+                          assume_reduced_prefix=len(first.gb))
+    trivial = combine_series(
+        (1, 0, hilbert_series(first)), (1, 0, hilbert_series(second)),
+        (-1, 0, hilbert_series(both))) == hilbert_series(module.relations)
+    if (debug_verification_enabled() and trivial
+            != module.relations.contains_all(
+                submodule_intersect(first, second).gb)):
+        raise CrossCheckFailure(
+            "the intersection series and the intersection disagree")
+    return trivial
 
 
 # -- the aggregate ------------------------------------------------------------

@@ -16,10 +16,10 @@ from __future__ import annotations
 from .errors import (DependentRows, IncompleteBasis, InfiniteLength,
                      NonStandardGrading, NotLinearForm, PreconditionViolation,
                      RaggedMatrix, SingularMatrix, ZeroModule)
-from .groebner import (NEG_INF, SubmoduleBasis, groebner_basis, hilbert_series,
-                       kernel_of_map, quotient_dimension,
-                       quotient_hilbert_function, quotient_total_length,
-                       series_dimension)
+from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
+                       groebner_basis, hilbert_series, kernel_of_map,
+                       quotient_dimension, quotient_hilbert_function,
+                       quotient_total_length, series_dimension)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -347,6 +347,34 @@ def submodule_colon(n: SubmoduleBasis, f) -> SubmoduleBasis:
     ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
     out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
     return SubmoduleBasis(ambient, out, out)
+
+
+def colon_series(n: SubmoduleBasis, f: Polynomial, within=None,
+                 extended: SubmoduleBasis = None) -> dict:
+    """Numerator over (1-t)^nvars of the Hilbert series of W/((n : f) ∩ W),
+    for a nonzero homogeneous f of degree δ and W the submodule generated
+    by the elements `within`; W is the whole ambient F when within is None,
+    and the series is then that of F/(n : f).
+
+    Multiplication by f maps W onto (n + fW)/n with kernel (n : f) ∩ W, so
+    0 -> (W/((n : f) ∩ W))(-δ) -> F/n -> F/(n + fW) -> 0 is exact, and by
+    additivity (Bruns-Herzog, Cohen-Macaulay Rings, 4.1)
+    HS(W/((n : f) ∩ W)) = t^-δ·(HS(F/n) - HS(F/(n + fW))).  That takes one
+    basis of n + fW, with n's reduced basis as its prefix, where the colon
+    itself takes an elimination kernel.  `extended` is that basis when the
+    caller already has it, say a memoized power_submodule level.  The series
+    is the same for any generators of W modulo n : f, and 0 for W = 0."""
+    if within is not None and not within:
+        return {}
+    if extended is None:
+        ambient = n.ambient
+        if within is None:
+            within = [ambient.generator(i) for i in range(ambient.rank)]
+        extended = groebner_basis(
+            ambient, list(n.gb) + [poly_times_element(f, g) for g in within],
+            assume_reduced_prefix=len(n.gb))
+    return combine_series((1, -f.degree, hilbert_series(n)),
+                          (-1, -f.degree, hilbert_series(extended)))
 
 
 def submodule_intersect(n1: SubmoduleBasis, n2: SubmoduleBasis) -> SubmoduleBasis:

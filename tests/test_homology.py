@@ -12,7 +12,7 @@ from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                projective_dimension,
                                verify_resolution_exactness)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
-                              zero_module)
+                              present_subquotient, zero_module)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing,
                            poly_in_position, poly_times_element)
 
@@ -293,3 +293,75 @@ def test_koszul_homology_empty_sequence_is_the_module():
     M = residue_field(A)
     seq = ParameterSequence(M, [])
     assert koszul_homology_lengths(seq) == [1]
+
+
+def _presented_koszul_lengths(seq):
+    # each H_i presented from the kernel Z_i over the boundaries B_i, the
+    # form that the Hilbert-series lengths replaced: their oracle
+    m = seq.module
+    cx = koszul_complex(seq)
+    r = m.rank
+
+    def blocks(spot):
+        return [FreeElement(spot, {(blk * r + pos, e): c
+                                   for (pos, e), c in g.terms.items()},
+                            _checked=True)
+                for blk in range(spot.rank // r) for g in m.relations.gb]
+
+    lengths = []
+    for i, spot in enumerate(cx.spots):
+        if i == 0:
+            top = [spot.generator(b) for b in range(spot.rank)]
+        else:
+            top = [FreeElement(spot, dict(g.terms), _checked=True)
+                   for g in groebner.kernel_of_map(
+                       cx.diffs[i - 1], list(spot.twists), cx.spots[i - 1],
+                       relations=blocks(cx.spots[i - 1])).gb]
+        bottom = groebner_basis(spot, (list(cx.diffs[i]) if i < seq.count
+                                       else []) + blocks(spot))
+        lengths.append(present_subquotient(m.algebra, top, bottom,
+                                           spot).total_length())
+    return lengths
+
+
+def _rank_two_sequence():
+    # coker of the 2 x 2 upper-triangular matrix of example 4.2, dimension 1
+    _, module, xs = build_example42(2)
+    return ParameterSequence(module, [xs[1]])
+
+
+def _rank_three_sequence():
+    _, module, xs = build_example42(3)
+    return ParameterSequence(module, [xs[1], xs[2]])
+
+
+def _unequal_twist_sequence():
+    # S ⊕ S(2)/(x, yz) over k[x,y,z]/(x^2, xy), twists (0, 2)
+    basis = _unequal_twist_relations()
+    ring = basis.ambient.ring
+    A = GradedAlgebra(ring, [ring.variable(0) ** 2,
+                             ring.variable(0) * ring.variable(1)])
+    module = GradedModule(A, basis.ambient.twists, basis)
+    return ParameterSequence(module, [ring.variable(1), ring.variable(2)])
+
+
+@pytest.mark.parametrize("build", [
+    *[(lambda s: lambda: random_instance(s)[1])(s) for s in range(20)],
+    _rank_two_sequence, _rank_three_sequence, _unequal_twist_sequence,
+], ids=[f"random{s}" for s in range(20)]
+    + ["example42-2", "example42-3", "unequal-twist-sum"])
+def test_koszul_lengths_match_the_presented_homology(build):
+    seq = build()
+    assert koszul_homology_lengths(seq) == _presented_koszul_lengths(seq)
+
+
+def test_verify_gb_catches_a_wrong_koszul_series(monkeypatch):
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    seq = ParameterSequence(A.cyclic_module(), [y])
+    series_length = homology.series_length
+    monkeypatch.setattr(homology, "series_length",
+                        lambda num, n: series_length(num, n) + 1)
+    assert koszul_homology_lengths(seq) == [3, 2]
+    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
+    with pytest.raises(CrossCheckFailure, match="koszul_homology_lengths"):
+        koszul_homology_lengths(seq)

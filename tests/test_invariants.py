@@ -26,7 +26,8 @@ from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  module_coefficients, sectional_genus,
                                  sv_invariant, torsion)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
-                              ideal_power)
+                              ideal_power, submodule_colon,
+                              submodule_intersect)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, binomial,
                            poly_times_element)
 
@@ -598,6 +599,66 @@ def test_verify_gb_cross_checks_the_weighted_test(monkeypatch, line_with_spike):
         set_debug_verification(False)
 
 
+def _colon_window(a, module, qgens, killed, c_max=3, window=2):
+    # the colon window decided by a colon and an intersection at every
+    # (c, n), the form that the Hilbert-series window replaced: its oracle
+    if killed.dimension() > 0:
+        return "refuted", None
+    level = lambda k: module.power_submodule(qgens, k)
+    for c in range(1, c_max + 1):
+        if all(submodule_intersect(submodule_colon(level(n + 1), a), level(c))
+               == level(n) for n in range(c, c + window + 1)):
+            return "verified", c
+    return "inconclusive", None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_series_window_matches_the_colon_window(seed):
+    # linear Q, the first generator squared, and the first two squared
+    # (off the graded route): the same verdict and start on every generator
+    module, seq = random_instance(seed)
+    g = seq.gens
+    systems = [g, (g[0] ** 2,) + g[1:]]
+    if seq.count >= 2:
+        systems.append((g[0] ** 2, g[1] ** 2) + g[2:])
+    for gens in systems:
+        for a in gens:
+            killed = _annihilator(a, module)
+            assert _windowed_superficial(a, module, gens, killed) \
+                == _colon_window(a, module, gens, killed), \
+                ([str(q) for q in gens], str(a))
+
+
+def test_series_window_covers_every_outcome():
+    # the draws above reach a start of 2 and an inconclusive window
+    module, seq = random_instance(0)
+    a = seq.gens[0]
+    assert _windowed_superficial(a, module, seq.gens,
+                                 _annihilator(a, module)) == ("verified", 2)
+    module, seq = random_instance(7)
+    gens = (seq.gens[0] ** 2,) + seq.gens[1:]
+    assert _windowed_superficial(gens[0], module, gens,
+                                 _annihilator(gens[0], module)) \
+        == ("inconclusive", None)
+
+
+def test_verify_gb_catches_a_wrong_window_series(monkeypatch):
+    # a kernel series that reads zero at every step: the window then
+    # verifies an element the colons leave inconclusive, and --verify-gb
+    # says so
+    M, x, y = _skew_twist_module()
+    killed = _annihilator(x, M)
+    assert _windowed_superficial(x, M, (x, y), killed)[0] == "inconclusive"
+    monkeypatch.setattr(invariants, "combine_series", lambda *parts: {})
+    assert _windowed_superficial(x, M, (x, y), killed) == ("verified", 1)
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="_windowed_superficial"):
+            _windowed_superficial(x, M, (x, y), killed)
+    finally:
+        set_debug_verification(False)
+
+
 # -- d-sequences --------------------------------------------------------------
 
 def test_d_sequence_holds(line_with_spike):
@@ -638,6 +699,57 @@ def test_find_d_sequence_deterministic(two_planes):
     a = find_d_sequence_generators(q, M, seed=5)
     b = find_d_sequence_generators(q, M, seed=5)
     assert a.gens == b.gens
+
+
+def _colon_d_sequence(seq):
+    # the colon test with both colons built for every pair, the form that
+    # the Hilbert-series test replaced: its oracle, witness included
+    m = seq.module
+    for i in range(1, seq.count + 1):
+        prefix = m.power_submodule(seq.prefix(i - 1))
+        for j in range(i, seq.count + 1):
+            ai, aj = seq.gens[i - 1], seq.gens[j - 1]
+            lhs = submodule_colon(prefix, ai * aj)
+            rhs = submodule_colon(prefix, aj)
+            if lhs != rhs:
+                witness = next((g for g in lhs.gb if rhs.normal_form(g)), None)
+                return (False, (i, j), str(witness) if witness else None)
+    return (True, None, None)
+
+
+def test_d_sequence_series_matches_the_colons():
+    # the same verdict, violating pair and witness, on systems that fail
+    # and on systems that hold
+    outcomes = []
+    for seed in range(40):
+        module, seq = random_instance(seed)
+        g = seq.gens
+        systems = [g, (g[0] ** 2,) + g[1:]]
+        if seq.count >= 2:
+            systems.append((g[0] ** 2, g[1] ** 2) + g[2:])
+        for gens in systems:
+            cand = ParameterSequence(module, gens)
+            rep = is_d_sequence(cand)
+            assert (rep.holds, rep.violation, rep.witness) \
+                == _colon_d_sequence(cand), (seed, [str(q) for q in gens])
+            outcomes.append(rep.holds)
+    assert outcomes.count(False) >= 20 and outcomes.count(True) >= 20
+
+
+def test_verify_gb_catches_a_wrong_d_sequence_series(monkeypatch):
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y * y])
+    seq = ParameterSequence(A.cyclic_module(), (y,))
+    assert not is_d_sequence(seq).holds
+    # every colon series alike: the failing pair looks like a d-sequence
+    monkeypatch.setattr(invariants, "colon_series",
+                        lambda n, f, within=None, extended=None: {0: 1})
+    assert is_d_sequence(seq).holds
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="is_d_sequence"):
+            is_d_sequence(seq)
+    finally:
+        set_debug_verification(False)
 
 
 # -- checkers -----------------------------------------------------------------
