@@ -85,9 +85,7 @@ class BuchbergerState:
             if count < assume_reduced_prefix:
                 self._append(g.monic())
             else:
-                nf = self.normal_form(g)
-                if nf:
-                    self._append(nf.monic())
+                self.insert(g)
             count += 1
 
     # -- basis bookkeeping
@@ -182,6 +180,14 @@ class BuchbergerState:
         if not v:
             return v
         return self._element(self._reduce_dict(dict(v.terms)))
+
+    def insert(self, v: FreeElement) -> bool:
+        """Append the normal form of v, made monic, with its pairs when it is
+        nonzero; True exactly then."""
+        nf = self.normal_form(v)
+        if nf:
+            self._append(nf.monic())
+        return bool(nf)
 
     # -- pair processing
 

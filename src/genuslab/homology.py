@@ -3,9 +3,9 @@ homology.
 
 Resolutions are minimal by construction: at every step the differential is a
 Nakayama-minimal generating set of the syzygy module N, a basis of N/mN
-picked from N's reduced basis with one degree-truncated basis of mN and one
-echelon per degree, so no unit entries ever appear and Auslander-Buchsbaum
-applies literally.  Composition of consecutive differentials is checked
+picked from N's reduced basis by one incremental Buchberger run on the picks
+themselves, so no unit entries ever appear and Auslander-Buchsbaum applies
+literally.  Composition of consecutive differentials is checked
 exactly on every emitted complex; a dense per-degree exactness verifier is
 available for small instances.
 
@@ -25,8 +25,7 @@ from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
                        combine_series, debug_verification_enabled,
                        groebner_basis, hilbert_series, kernel_of_map,
                        series_length)
-from .modules import (GradedModule, echelon_insert, present_subquotient,
-                      zero_module)
+from .modules import GradedModule, present_subquotient, zero_module
 from .ring import FreeElement, FreeModule, poly_times_element
 
 
@@ -71,37 +70,25 @@ def minimal_generators(basis: SubmoduleBasis) -> list:
     """A Nakayama-minimal generating set for the submodule N, picked from its
     reduced basis in ascending (degree, lead term) order.
 
-    N/mN is a graded vector space, so one basis of m*N suffices: a Buchberger
-    run on the x_i*g, truncated at the top degree of N's basis, is complete
-    through that degree, and its normal form is linear there.  g is picked
-    exactly when g is not in m*N plus the span of the earlier picks, that is
-    when its normal form is independent of the normal forms already picked
-    in its degree; one echelon per degree decides that.  Under --verify-gb
-    the picks must regenerate N.
+    One Buchberger run on the picks so far decides every pick (Kreuzer-
+    Robbiano, Computational Commutative Algebra 2, ch. 4).  Before g of
+    degree d the run is processed through degree d, so it is a basis of the
+    picks' submodule P there, and g is picked exactly when its normal form
+    is nonzero, that is when g is not in P_d; the normal form joins the run.
+    The picks before degree d generate N below degree d, so P_d is (mN)_d
+    plus the span of the earlier picks of degree d: g is picked exactly when
+    it is not in mN plus the earlier picks, the definition of a basis of
+    N/mN.  No basis of mN is ever built.  Under --verify-gb the picks must
+    regenerate N.
     """
-    if not basis.gb:
-        return []
     ambient = basis.ambient
-    ring = ambient.ring
-    top = max(g.degree for g in basis.gb)
-    # x_i*g above the top degree cannot reduce anything of degree <= top
-    mk = [poly_times_element(ring.variable(i), g)
-          for i in range(ring.nvars) for g in basis.gb if g.degree < top]
-    mn = BuchbergerState(ambient, mk)
-    mn.process(until=top)
-    by_degree = {}
+    picks = BuchbergerState(ambient, [])
+    picked = []
     for g in sorted(basis.gb,
                     key=lambda g: (g.degree, ambient.term_key(g.lead_term()[0]))):
-        by_degree.setdefault(g.degree, []).append((g, mn.normal_form(g)))
-    picked = []
-    for pairs in by_degree.values():
-        columns = sorted({t for _, nf in pairs for t in nf.terms},
-                         key=ambient.term_key, reverse=True)
-        echelon = []
-        for g, nf in pairs:
-            row = [nf.terms.get(t, 0) for t in columns]
-            if echelon_insert(echelon, row, ring.prime):
-                picked.append(g)
+        picks.process(until=g.degree)
+        if picks.insert(g):
+            picked.append(g)
     if debug_verification_enabled() and groebner_basis(ambient, picked) != basis:
         raise CrossCheckFailure(
             "minimal generators do not regenerate the submodule")
@@ -263,8 +250,9 @@ class DualSection:
 
 
 def dual_sections(module: GradedModule) -> list:
-    """The duals for j = 0..dim-1, via the dualized resolution.  The j = 0
-    entry is cross-checked against the directly computed finite sections."""
+    """The duals for j = 0..dim-1, via the dualized resolution.  The length
+    of the j = 0 entry is cross-checked against h0_length, the length of
+    the finite sections computed directly."""
     def build():
         s = module.dimension()
         n = module.algebra.ring.nvars
@@ -278,7 +266,7 @@ def dual_sections(module: GradedModule) -> list:
                     f"dual section {j} has dimension {dim_j} > {j}")
             out.append(DualSection(j, mj, dim_j <= 0))
         if top >= 1:
-            expected = module.h0().total_length()
+            expected = module.h0_length()
             got = out[0].module.total_length()
             if expected != got:
                 raise CrossCheckFailure(

@@ -958,18 +958,18 @@ def check_prop38(module: GradedModule, seq) -> DSequenceCoefficientReport:
             "pass" if e[0] == got else "fail",
             {"coefficient": e[0], "covolume": seq.covolume(),
              "colon defect": extra}))
-        h0_of = lambda mod: mod.h0().total_length()
         for i in range(1, d):
-            big = h0_of(module.quotient_by_ideal(list(seq.prefix(d - i))))
-            small = h0_of(module.quotient_by_ideal(
-                list(seq.prefix(d - i - 1))))
+            big = module.quotient_by_ideal(
+                list(seq.prefix(d - i))).h0_length()
+            small = module.quotient_by_ideal(
+                list(seq.prefix(d - i - 1))).h0_length()
             want = big - small
             got_i = ((-1) ** i) * e[i]
             checks.append(CheckResult(
                 f"signed coefficient {i} from finite sections",
                 "pass" if got_i == want else "fail",
                 {"signed": got_i, "sections": (big, small)}))
-        top = h0_of(module)
+        top = module.h0_length()
         got_d = ((-1) ** d) * e[d]
         checks.append(CheckResult(
             f"signed coefficient {d} equals the finite-section length",
@@ -1024,7 +1024,7 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
         got = ((-1) ** i) * e[i]
         rows.append((i, got, want))
         ok2 = ok2 and got == want
-    h0_len = module.h0().total_length()
+    h0_len = module.h0_length()
     got_d = ((-1) ** d) * e[d]
     rows.append((d, got_d, h0_len))
     ok2 = ok2 and got_d == h0_len

@@ -13,13 +13,15 @@ kept on its module.
 """
 from __future__ import annotations
 
-from .errors import (DependentRows, IncompleteBasis, InfiniteLength,
-                     NonStandardGrading, NotLinearForm, PreconditionViolation,
-                     RaggedMatrix, SingularMatrix, ZeroModule)
+from .errors import (CrossCheckFailure, DependentRows, IncompleteBasis,
+                     InfiniteLength, NonStandardGrading, NotLinearForm,
+                     PreconditionViolation, RaggedMatrix, SingularMatrix,
+                     ZeroModule)
 from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
-                       groebner_basis, hilbert_series, kernel_of_map,
-                       quotient_dimension, quotient_hilbert_function,
-                       quotient_total_length, series_dimension)
+                       debug_verification_enabled, groebner_basis,
+                       hilbert_series, kernel_of_map, quotient_dimension,
+                       quotient_hilbert_function, quotient_total_length,
+                       series_dimension, series_length)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -187,29 +189,58 @@ class GradedModule(_Memoized):
 
     def h0_submodule(self) -> SubmoduleBasis:
         """Preimage in the ambient of the largest finite-length submodule:
-        colon by the irrelevant ideal, iterated to a fixed point.  One step
-        of the iteration doubles nothing but composes colons, so the chain
-        (N : m) ⊆ (N : m²) ⊆ ... is walked directly; it stabilizes because
-        the ambient is noetherian."""
+        colon by the irrelevant ideal m, iterated to a fixed point.  The
+        chain (N : m) ⊆ (N : m²) ⊆ ... is walked directly; it stabilizes
+        because the ambient is noetherian.
+
+        Every step first asks whether ℓ = x_1 + ... + x_n is regular on F/u
+        (Bruns-Herzog, Cohen-Macaulay Rings, 1.2): u ⊆ (u : ℓ), so the two
+        are equal exactly when their Hilbert series are, and colon_series
+        reads that off one basis of u + ℓF.  Then (u : m) ⊆ (u : ℓ) = u, as
+        ℓ lies in m, and u is the fixed point.  ℓ lies in no proper monomial
+        prime, so for a monomial u it is regular exactly when F/u has no
+        finite-length sections.  Only when ℓ is a zero-divisor, or there are
+        no variables, is the colon (u : m) built as a kernel.  Under --verify-gb the kernel
+        is also built where ℓ certified u, and must equal u."""
         def build():
             mgens = self.algebra.variables()
+            ell = sum(mgens[1:], mgens[0]) if mgens else None
             u = self.relations
             while True:
+                if ell is not None and (colon_series(u, ell)
+                                        == hilbert_series(u)):
+                    if (debug_verification_enabled()
+                            and submodule_colon(u, mgens) != u):
+                        raise CrossCheckFailure(
+                            "h0_submodule: x_1 + ... + x_n is regular by the "
+                            "Hilbert series, but (u : m) differs from u")
+                    return u
                 v = submodule_colon(u, mgens)
                 if v == u:
                     return u
                 u = v
         return self._memo("h0sub", build)
 
-    def h0(self) -> "GradedModule":
-        """The finite-length sections, as a module in their own right."""
+    def h0_length(self) -> int:
+        """ℓ(H⁰_m(M)), the length of the finite-length sections h0_submodule/N:
+        the value at t = 1 of HS(F/N) - HS(F/h0_submodule), by additivity
+        (Bruns-Herzog, 4.1), with no presentation.  Under --verify-gb the
+        sections are also presented as a module and the lengths compared."""
         def build():
             sub = self.h0_submodule()
-            if sub == self.relations:
-                return zero_module(self.algebra)
-            return present_subquotient(self.algebra, sub.gb,
-                                       self.relations, self.ambient)
-        return self._memo("h0", build)
+            length = series_length(combine_series(
+                (1, 0, hilbert_series(self.relations)),
+                (-1, 0, hilbert_series(sub))), self.algebra.ring.nvars)
+            if debug_verification_enabled() and sub != self.relations:
+                presented = present_subquotient(
+                    self.algebra, sub.gb, self.relations,
+                    self.ambient).total_length()
+                if presented != length:
+                    raise CrossCheckFailure(
+                        f"h0_length: length {length} from the series, "
+                        f"{presented} from the presentation")
+            return length
+        return self._memo("h0len", build)
 
     def annihilator(self) -> SubmoduleBasis:
         """{f in S : f·M = 0}, as a rank-1 basis."""

@@ -219,7 +219,7 @@ def _property_problems(tag: str, module, seq) -> list:
     expected_depth = min(nonzero) if nonzero else inv.dimension
     if expected_depth != inv.depth:
         out.append(f"{tag}: depth {inv.depth} vs nonzero duals {nonzero}")
-    h0_len = module.h0().total_length()
+    h0_len = module.h0_length()
     zero_len = inv.duals[0]["length"] if inv.duals else module.total_length()
     if zero_len != h0_len:
         out.append(f"{tag}: dual length {zero_len} != sections {h0_len}")

@@ -1,10 +1,11 @@
 """Homological layer: resolutions, duals, depth, Koszul homology."""
 import pytest
 
-from genuslab import groebner, homology, oracle
+from genuslab import groebner, homology, modules, oracle
 from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import CrossCheckFailure, ZeroModule
-from genuslab.groebner import SubmoduleBasis, groebner_basis, syzygies
+from genuslab.groebner import (SubmoduleBasis, groebner_basis, kernel_of_map,
+                               syzygies)
 from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                dual_sections, ext_module, free_resolution,
                                koszul_complex, koszul_homology_lengths,
@@ -12,7 +13,8 @@ from genuslab.homology import (FreeComplex, betti_numbers, depth,
                                projective_dimension,
                                verify_resolution_exactness)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
-                              present_subquotient, zero_module)
+                              echelon_insert, present_subquotient,
+                              submodule_colon, zero_module)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing,
                            poly_in_position, poly_times_element)
 
@@ -113,13 +115,17 @@ def _example42_relations():
     return module.relations
 
 
-def _unequal_twist_relations():
+def _unequal_twist_module():
     A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
                                    lambda x, y, z: x * y])
     M = A.cyclic_module().direct_sum(
         A.cyclic_module(2).quotient_by_ideal([x, y * z]))
     assert M.twists == (0, 2)
-    return M.relations
+    return M
+
+
+def _unequal_twist_relations():
+    return _unequal_twist_module().relations
 
 
 def _random_relations(seed):
@@ -179,10 +185,137 @@ def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
     monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
     assert groebner.debug_verification_enabled()
     assert minimal_generators(basis) == want
-    # picks that do not regenerate the submodule trip the cross-check
-    monkeypatch.setattr(homology, "echelon_insert", lambda *args: False)
+    # picks that do not regenerate the submodule trip the cross-check: here
+    # every normal form that decides a pick reads zero, so nothing is picked
+    class NoPicks(groebner.BuchbergerState):
+        def normal_form(self, v):
+            return v.ambient.zero()
+
+    monkeypatch.setattr(homology, "BuchbergerState", NoPicks)
     with pytest.raises(CrossCheckFailure):
         minimal_generators(basis)
+
+
+# -- differential: the decisions against the routines they replaced ----------
+
+def _mn_echelon_picks(basis):
+    """The picker minimal_generators replaced: one degree-truncated basis of
+    mN, then one echelon per degree of the normal forms modulo mN."""
+    if not basis.gb:
+        return []
+    ambient = basis.ambient
+    ring = ambient.ring
+    top = max(g.degree for g in basis.gb)
+    mn = groebner.BuchbergerState(ambient, [
+        poly_times_element(ring.variable(i), g)
+        for i in range(ring.nvars) for g in basis.gb if g.degree < top])
+    mn.process(until=top)
+    by_degree = {}
+    for g in sorted(basis.gb,
+                    key=lambda g: (g.degree, ambient.term_key(g.lead_term()[0]))):
+        by_degree.setdefault(g.degree, []).append((g, mn.normal_form(g)))
+    picked = []
+    for pairs in by_degree.values():
+        columns = sorted({t for _, nf in pairs for t in nf.terms},
+                         key=ambient.term_key, reverse=True)
+        echelon = []
+        for g, nf in pairs:
+            if echelon_insert(echelon, [nf.terms.get(t, 0) for t in columns],
+                              ring.prime):
+                picked.append(g)
+    return picked
+
+
+def _colon_h0(module):
+    """The plain colon iteration h0_submodule replaced: (N : m), (N : m²),
+    ... as kernels, to the fixed point."""
+    mgens = module.algebra.variables()
+    u = module.relations
+    while True:
+        v = submodule_colon(u, mgens)
+        if v == u:
+            return u
+        u = v
+
+
+def _terms(elems):
+    return [g.terms for g in elems]
+
+
+def _assert_decisions_match(module):
+    assert module.h0_submodule() == _colon_h0(module)
+    # every step of the resolution: its picks from the kernel before it
+    res = free_resolution(module)
+    current = minimal_presentation(module).relations
+    for k, cols in enumerate(res.diffs):
+        assert _terms(_mn_echelon_picks(current)) == _terms(cols)
+        current = kernel_of_map(cols, [c.degree for c in cols], res.spots[k])
+    assert _mn_echelon_picks(current) == []
+
+
+@pytest.mark.parametrize("build", [
+    *[(lambda s=s: random_instance(s)[0]) for s in range(40)],
+    lambda: build_example42(2)[1], _unequal_twist_module,
+], ids=[*[f"random{s}" for s in range(40)], "example42-2", "unequal-twist"])
+def test_h0_and_picks_match_the_replaced_routines(build):
+    # the module and every Ext dual of its dual_sections
+    module = build()
+    _assert_decisions_match(module)
+    for ds in dual_sections(module):
+        _assert_decisions_match(ds.module)
+
+
+def _counting_colons(monkeypatch):
+    calls = []
+    real = modules.submodule_colon
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "submodule_colon", counted)
+    return calls
+
+
+def test_h0_falls_back_to_the_colon_when_the_sum_of_variables_kills(
+        monkeypatch):
+    # x + y kills k[x,y]/(x + y), which still has depth 1: the series test
+    # fails, and the one colon finds no finite-length sections
+    A, (x, y) = algebra("xy", [lambda x, y: x + y])
+    M = A.cyclic_module()
+    calls = _counting_colons(monkeypatch)
+    assert M.h0_submodule() == M.relations
+    assert len(calls) == 1
+    assert M.h0_length() == 0
+
+
+def test_h0_with_a_deeper_socle_takes_two_colons(monkeypatch):
+    # (N : m) and (N : m²) are both built, and the sum of the variables
+    # then certifies the fixed point without a third colon
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y * y])
+    M = A.cyclic_module()
+    calls = _counting_colons(monkeypatch)
+    assert M.h0_submodule() == _colon_h0(M)
+    assert len(calls) == 2
+    assert M.h0_length() == 2
+
+
+def test_h0_over_a_ring_without_variables():
+    A, _ = algebra("")
+    M = A.cyclic_module().direct_sum(A.cyclic_module(1))
+    assert M.h0_submodule() == _colon_h0(M)
+    assert M.h0_length() == M.total_length() == 2
+
+
+def test_h0_series_test_cross_check_under_verify_gb(monkeypatch):
+    # a colon series that wrongly calls x + y regular certifies N as the
+    # fixed point, although k[x,y]/(x², xy) has the socle element x
+    A, _ = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    monkeypatch.setattr(modules, "colon_series",
+                        lambda n, f: groebner.hilbert_series(n))
+    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
+    with pytest.raises(CrossCheckFailure, match="h0_submodule"):
+        A.cyclic_module().h0_submodule()
 
 
 # -- ext ----------------------------------------------------------------------
@@ -224,7 +357,7 @@ def test_dual_sections_of_shallow_cyclic():
     assert [d.index for d in duals] == [0]
     assert duals[0].finite_length
     assert duals[0].module.total_length() == 1  # the socle element x
-    assert M.h0().total_length() == 1
+    assert M.h0_length() == 1
 
 
 def test_dual_sections_of_finite_length_module_are_empty():
