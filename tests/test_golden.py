@@ -7,8 +7,10 @@ up here; one that only moves work around does not.  Basis re-verification
 (--verify-gb) must not change a byte either.
 
 tests/golden/corpus.json is the exact stdout of `genuslab corpus
---no-timings`, the default corpus; it takes about 12 s, so CI diffs it in a
-step of its own instead of here.
+--no-timings`, the default corpus, and tests/golden/scale.json that of
+`genuslab corpus --no-timings --config tests/golden/scale_grid.json`, the
+example44 grid at 6-9 variables.  They take seconds each, so CI diffs them
+in steps of their own instead of here.
 """
 
 import json
@@ -19,8 +21,9 @@ import pytest
 from genuslab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS_FILES = {"corpus", "scale", "scale_grid"}
 GOLDEN = sorted(p for p in (ROOT / "tests" / "golden").glob("*.json")
-                if p.stem != "corpus")
+                if p.stem not in CORPUS_FILES)
 
 
 def test_every_session_has_a_golden_file():
