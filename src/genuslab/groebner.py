@@ -8,13 +8,18 @@ processed degree by degree, lowest first.  The engine works for any module
 order the ambient's term_key defines: degrevlex, the elimination block order,
 or the tangent-cone order used for length tables.
 
-Each basis element is kept as its lead, its tail (every other term) and a
-bit mask of the variables in its lead.  A candidate reducer is rejected on
-the mask before its exponents are compared (Bachmann-Schoenemann, ISSAC
-1998), S-pairs are built from the two shifted tails, since the monic leads
-cancel, and reduction walks only the reducer's tail.  A reduction fills its
-output largest term first, so the lead of every new element is carried in,
-never searched for.
+Inside a run every term is one int, packed by the run's Packing so that the
+integer order is the ambient's term_key (Monagan-Pearce, J. Symbolic Comput.
+2011, on packed monomials).  Multiplying a term by a monomial is one
+addition, a reducer's shift is the difference of two keys, and divisibility
+is one guarded subtraction, which tests every exponent at once (Bachmann-
+Schoenemann, ISSAC 1998).  Each basis element is kept as its packed lead and
+its tail (every other term).  S-pairs are built from the two shifted tails,
+since the monic leads cancel, and reduction walks only the reducer's tail.
+A reduction fills its output largest term first, so the lead of every new
+element is carried in, never searched for.  Terms are packed once on the
+way in and unpacked only for what callers read: the reduced basis, the
+tracked part of a kernel run and normal forms.
 
 Kernel computations (syzygies, colons, intersections, presentations of
 subquotients) all reduce to one primitive: the kernel of a map from a free
@@ -37,13 +42,18 @@ Cohen-Macaulay Rings, 4.1).
 """
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 
-from .errors import CrossCheckFailure, InfiniteLength
+from .errors import (CrossCheckFailure, HomogeneityViolation, InfiniteLength,
+                     PreconditionViolation)
 from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_div,
-                   mono_divides, mono_lcm, mono_mask)
+                   mono_divides, mono_lcm)
 
 NEG_INF = float("-inf")
+
+FIELD = 16                                # bits in one field of a packed term
+FIELD_MASK = (1 << FIELD) - 1
+EXP_LIMIT = (1 << (FIELD - 1)) - 1        # largest monomial degree in a run
 
 _DEBUG_VERIFY = False
 
@@ -59,6 +69,114 @@ def debug_verification_enabled() -> bool:
     return _DEBUG_VERIFY
 
 
+class Packing:
+    """The terms (pos, e) of one ambient as ints whose integer order is the
+    ambient's term_key.
+
+    From the least significant FIELD-bit field up: rank - pos; EXP_LIMIT -
+    e_i for each variable, with x_n highest (revlex); the degree; then the
+    elimination block bit, or for the tangent order WMAX - W and, unbounded
+    on top, the twisted degree.  Every field but the position is linear in
+    e, so multiplying a term by x^s adds sum s_i * delta[i], and at one
+    position the shift from L to T is T - L.  The top bit of each exponent
+    field is a guard, clear in every key: L divides T at the same position
+    exactly when (guarded(L) - T) & guard == guard.  A run keeps each
+    monomial degree, hence each exponent, at most EXP_LIMIT (check()), so no
+    field ever borrows or overflows.
+    """
+
+    __slots__ = ("rank", "floor", "shifts", "delta", "base",
+                 "low", "guard", "block", "deg", "ones", "tangent")
+
+    def __init__(self, ambient: FreeModule):
+        n, rank = ambient.ring.nvars, ambient.rank
+        if rank > FIELD_MASK:
+            raise PreconditionViolation(
+                f"rank {rank} exceeds the packed position field "
+                f"({FIELD_MASK} positions)")
+        self.rank = rank
+        self.floor = min(ambient.twists, default=0)
+        self.deg = deg = FIELD * (n + 1)
+        top = deg + FIELD
+        self.shifts = range(FIELD, deg, FIELD)
+        self.low = (1 << deg) - 1              # position and exponent fields
+        self.ones = (self.low >> FIELD) // FIELD_MASK   # bit 0 of fields 0..n-1
+        self.guard = self.ones << (2 * FIELD - 1)
+        self.delta = [(1 << deg) - (1 << s) for s in self.shifts]
+        fixed = self.ones * EXP_LIMIT << FIELD
+        self.block = None          # the elimination block bit, when there is one
+        self.tangent = None        # (top, tdeg, [(weight, exponent fields)])
+        b = ambient.tangent_block
+        if b:
+            d = ambient.tangent_weight
+            wmax = d * EXP_LIMIT
+            tdeg = top + wmax.bit_length()
+            weights = [1] * b if d == 1 else [d] * (b - 1) + [1]
+            self.tangent = (top, tdeg, [
+                (w, sum(EXP_LIMIT << FIELD * (i + 1)
+                        for i, v in enumerate(weights) if v == w))
+                for w in sorted(set(weights))])
+            weights += [0] * (n - b)
+            self.delta = [x - (w << top) + (1 << tdeg)
+                          for x, w in zip(self.delta, weights)]
+            self.base = [fixed + (wmax << top) + (t << tdeg) + rank - pos
+                         for pos, t in enumerate(ambient.twists)]
+        else:
+            if ambient.elim_rank:
+                self.block = 1 << top
+            self.base = [fixed + rank - pos + (self.block
+                                               if pos < ambient.elim_rank else 0)
+                         for pos in range(rank)]
+
+    def check(self, degree: int) -> None:
+        """PreconditionViolation unless every term of twisted degree
+        `degree` packs without overflow."""
+        if degree - self.floor > EXP_LIMIT:
+            raise PreconditionViolation(
+                f"monomial degree {degree - self.floor} exceeds the packed-term "
+                f"limit {EXP_LIMIT} ({FIELD}-bit exponent fields)")
+
+    def pack(self, t) -> int:
+        pos, e = t
+        k = self.base[pos]
+        for x, d in zip(e, self.delta):
+            if x:
+                k += x * d
+        return k
+
+    def term(self, k: int):
+        """The (pos, exps) term packed as k."""
+        return (self.rank - (k & FIELD_MASK),
+                tuple([EXP_LIMIT - ((k >> s) & FIELD_MASK) for s in self.shifts]))
+
+    def guarded(self, lead: int) -> int:
+        """lead's position and exponent fields with every guard bit set."""
+        return (lead & self.low) | self.guard
+
+    def degree(self, k: int) -> int:
+        """The monomial degree of the term k."""
+        return (k >> self.deg) & FIELD_MASK
+
+    def lcm(self, a: int, b: int):
+        """(l, deg l - deg a) for the lcm l of the terms a and b at one
+        position, with no unpacking.  The guarded subtraction marks the
+        exponents where b is at least a; there l takes b's field, and x
+        sums the differences.  Multiplying by ones adds x's fields up in
+        field n, carry-free while the degrees stay within EXP_LIMIT."""
+        g = (self.guarded(a) - b) & self.guard
+        sel = g - (g >> (FIELD - 1))
+        x = (a & sel) - (b & sel)
+        hsum = self.deg - FIELD
+        h = ((x * self.ones) >> hsum) & FIELD_MASK
+        k = a - x + (h << self.deg)
+        if self.tangent:
+            top, tdeg, groups = self.tangent
+            k += h << tdeg
+            for w, m in groups:
+                k -= w * ((((x & m) * self.ones) >> hsum) & FIELD_MASK) << top
+        return k, h
+
+
 class BuchbergerState:
     """Incremental Buchberger run over a fixed ambient.
 
@@ -68,101 +186,138 @@ class BuchbergerState:
     """
 
     def __init__(self, ambient: FreeModule, gens, assume_reduced_prefix: int = 0,
-                 build_pairs: bool = True):
+                 build_pairs: bool = True, packing: Packing = None):
         self.ambient = ambient
-        self.basis = []
-        self.by_pos = {}         # pos -> [(lead degree, lead exps, mask, index)]
-        self.leads = []
-        self.tails = []          # per element, its terms but the lead
-        self.pairs = []
+        self.pk = packing or Packing(ambient)
+        self.prime = ambient.ring.prime
+        self.leads = []          # per element, its packed lead
+        self.tails = []          # per element, [(packed term, coeff)] but the lead
+        self.by_pos = {}         # position field -> [(guarded lead, index)]
+        self.pairs = []          # (degree, i, j, packed lcm)
         self.pending = set()
         self.prefix = assume_reduced_prefix
         self.build_pairs = build_pairs
+        self.seen = {}           # packed -> input term, reused when unpacking
         count = 0
         for g in gens:
             if not g:
                 continue
+            work = self._pack(g, self.seen)
             if count < assume_reduced_prefix:
-                self._append(g.monic())
+                self._append(max(work), work)
             else:
-                self.insert(g)
+                self._add(work)
             count += 1
+
+    # -- packing at the boundary
+
+    def _pack(self, v: FreeElement, seen=None) -> dict:
+        """The terms of v, packed; each input term is recorded in seen."""
+        self.pk.check(v.degree)
+        pack = self.pk.pack
+        work = {pack(t): c for t, c in v.terms.items()}
+        if seen is not None:
+            seen.update(zip(work, v.terms))
+        return work
+
+    def _unpack(self, terms: dict, seen=None) -> FreeElement:
+        """A packed dict whose first key is the lead, as an element; terms in
+        seen keep their input tuples."""
+        term, known = self.pk.term, (seen or {}).get
+        out = {known(k) or term(k): c for k, c in terms.items()}
+        lead = next(iter(out), None)
+        return FreeElement(self.ambient, out, _checked=True, _lead=lead,
+                           _degree=None if lead is None
+                           else sum(lead[1]) + self.ambient.twists[lead[0]])
+
+    @property
+    def basis(self) -> list:
+        """The elements so far, unpacked, monic, in insertion order."""
+        return [self._unpack({lead: 1, **dict(tail)}, self.seen)
+                for lead, tail in zip(self.leads, self.tails)]
 
     # -- basis bookkeeping
 
-    def _append(self, g: FreeElement) -> None:
-        """Add the monic element g, with its lead, its tail (every term but
-        the lead) and the divisibility mask of its lead."""
-        idx = len(self.basis)
-        self.basis.append(g)
-        lead, _ = g.lead_term()
-        pos, exps = lead
-        mask = mono_mask(exps)
-        tail = [(t, c) for t, c in g.terms.items() if t != lead]
+    def _enter(self, lead: int, tail: list) -> None:
+        """Index the monic element with packed lead and tail."""
+        self.by_pos.setdefault(lead & FIELD_MASK, []).append(
+            (self.pk.guarded(lead), len(self.leads)))
         self.leads.append(lead)
         self.tails.append(tail)
-        self.by_pos.setdefault(pos, []).append((mono_deg(exps), exps, mask, idx))
-        if not self.build_pairs:
-            return
+
+    def _append(self, lead: int, terms: dict) -> None:
+        """Add the element with packed terms and lead `lead`, made monic,
+        with its pairs."""
+        p = self.prime
+        c = terms[lead]
+        if c == 1:
+            tail = [(k, v) for k, v in terms.items() if k != lead]
+        else:
+            inv = pow(c, p - 2, p)
+            tail = [(k, v * inv % p) for k, v in terms.items() if k != lead]
+        if self.build_pairs:
+            self._queue_pairs(lead, tail)
+        self._enter(lead, tail)
+
+    def _queue_pairs(self, lead: int, tail: list) -> None:
+        """Queue the pairs of the element about to enter with each earlier
+        element at its position, each with its degree and packed lcm."""
+        pk = self.pk
+        idx = len(self.leads)
+        leads, tails = self.leads, self.tails
         rank1 = self.ambient.rank == 1 and self.ambient.elim_rank == 0
-        for dj, ej, mj, j in self.by_pos[pos][:-1]:
-            if not tail and not self.tails[j]:
+        deg = pk.degree(lead) + self.ambient.twists[pk.rank
+                                                    - (lead & FIELD_MASK)]
+        for _, j in self.by_pos.get(lead & FIELD_MASK, ()):
+            if not tail and not tails[j]:
                 continue  # S-pair of two terms cancels identically
             if idx < self.prefix and j < self.prefix:
                 continue
-            if rank1 and not mask & mj:
+            lcm, h = pk.lcm(lead, leads[j])
+            if rank1 and h == pk.degree(leads[j]):
                 continue  # coprime leads, valid for ideals only
-            lcm = mono_lcm(exps, ej)
-            pair = (j, idx)
-            self.pending.add(pair)
-            heapq.heappush(self.pairs,
-                           (mono_deg(lcm) + self.ambient.twists[pos], j, idx))
+            self.pending.add((j, idx))
+            heappush(self.pairs, (deg + h, j, idx, lcm))
 
-    def find_reducer(self, t):
-        """Index of the first basis element whose lead divides the term t,
-        or None."""
-        pos, exps = t
-        lst = self.by_pos.get(pos)
-        if not lst:
-            return None
-        d = mono_deg(exps)
-        miss = ~mono_mask(exps)
-        for dg, eg, mg, idx in lst:
-            if dg <= d and not mg & miss and mono_divides(eg, exps):
+    def find_reducer(self, t: int):
+        """Index of the first basis element whose lead divides the packed
+        term t, or None."""
+        guard = self.pk.guard
+        for lg, idx in self.by_pos.get(t & FIELD_MASK, ()):
+            if (lg - t) & guard == guard:
                 return idx
         return None
 
     # -- reduction
 
     def _reduce_dict(self, work: dict) -> dict:
-        """Normal form of the element `work` (consumed), as a dict filled
-        largest term first: its first key is the lead."""
-        ambient = self.ambient
-        p = ambient.ring.prime
-        heap_key = ambient.heap_key
-        heap = [(heap_key(t), t) for t in work]
-        heapq.heapify(heap)
-        leads, tails = self.leads, self.tails
+        """Normal form of the packed element `work` (consumed), as a dict
+        filled largest term first: its first key is the lead."""
+        p = self.prime
+        guard = self.pk.guard
+        by_pos, leads, tails = self.by_pos, self.leads, self.tails
+        heap = [-k for k in work]
+        heapify(heap)
         out = {}
         while heap:
-            _, t = heapq.heappop(heap)
+            t = -heappop(heap)
             c = work.pop(t, None)
             if c is None:
                 continue  # cancelled or stale entry
-            idx = self.find_reducer(t)
-            if idx is None:
+            for lg, idx in by_pos.get(t & FIELD_MASK, ()):
+                if (lg - t) & guard == guard:
+                    break
+            else:
                 out[t] = c
                 continue
             # the reducer is monic, so its lead cancels t exactly
-            shift = mono_div(t[1], leads[idx][1])
-            for (pos2, e2), c2 in tails[idx]:
-                nt = (pos2, tuple(x + y for x, y in zip(e2, shift)))
+            shift = t - leads[idx]
+            for k, c2 in tails[idx]:
+                nt = k + shift
                 old = work.get(nt)
                 if old is None:
-                    v = (-c * c2) % p
-                    if v:
-                        work[nt] = v
-                        heapq.heappush(heap, (heap_key(nt), nt))
+                    work[nt] = (-c * c2) % p
+                    heappush(heap, -nt)
                 else:
                     v = (old - c * c2) % p
                     if v:
@@ -171,34 +326,34 @@ class BuchbergerState:
                         del work[nt]
         return out
 
-    def _element(self, terms: dict) -> FreeElement:
-        """A reduced dict as an element; its first key is the lead."""
-        return FreeElement(self.ambient, terms, _checked=True,
-                           _lead=next(iter(terms), None))
+    def _add(self, work: dict) -> bool:
+        """Append the normal form of the packed `work`, made monic, with its
+        pairs when it is nonzero; True exactly then."""
+        nf = self._reduce_dict(work)
+        if nf:
+            self._append(next(iter(nf)), nf)
+        return bool(nf)
 
     def normal_form(self, v: FreeElement) -> FreeElement:
         if not v:
             return v
-        return self._element(self._reduce_dict(dict(v.terms)))
+        return self._unpack(self._reduce_dict(self._pack(v)))
 
     def insert(self, v: FreeElement) -> bool:
         """Append the normal form of v, made monic, with its pairs when it is
         nonzero; True exactly then."""
         nf = self.normal_form(v)
         if nf:
-            self._append(nf.monic())
+            work = self._pack(nf)
+            self._append(max(work), work)
         return bool(nf)
 
     # -- pair processing
 
-    def _chain_skip(self, i: int, j: int) -> bool:
-        pos, ei = self.leads[i]
-        lcm = mono_lcm(ei, self.leads[j][1])
-        miss = ~mono_mask(lcm)
-        for _, ek, mk, k in self.by_pos[pos]:
-            if k == i or k == j:
-                continue
-            if mk & miss or not mono_divides(ek, lcm):
+    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
+        guard = self.pk.guard
+        for lg, k in self.by_pos[lcm & FIELD_MASK]:
+            if k == i or k == j or (lg - lcm) & guard != guard:
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -206,18 +361,15 @@ class BuchbergerState:
                 return True
         return False
 
-    def _spair(self, i: int, j: int) -> dict:
-        """The S-pair of basis elements i and j as a work dict, built from
-        the two shifted tails: both elements are monic, so their shifted
-        leads cancel."""
-        ei, ej = self.leads[i][1], self.leads[j][1]
-        lcm = mono_lcm(ei, ej)
-        si, sj = mono_div(lcm, ei), mono_div(lcm, ej)
-        p = self.ambient.ring.prime
-        work = {(pos, tuple(x + y for x, y in zip(e, si))): c
-                for (pos, e), c in self.tails[i]}
-        for (pos, e), c in self.tails[j]:
-            nt = (pos, tuple(x + y for x, y in zip(e, sj)))
+    def _spair(self, i: int, j: int, lcm: int) -> dict:
+        """The S-pair of basis elements i and j as a packed work dict, built
+        from the two shifted tails: both elements are monic, so their
+        shifted leads cancel."""
+        si, sj = lcm - self.leads[i], lcm - self.leads[j]
+        p = self.prime
+        work = {k + si: c for k, c in self.tails[i]}
+        for k, c in self.tails[j]:
+            nt = k + sj
             v = (work.get(nt, 0) - c) % p
             if v:
                 work[nt] = v
@@ -229,43 +381,43 @@ class BuchbergerState:
         """Run until the pair queue is empty, or only pairs of degree > until
         remain.  Homogeneity makes the truncated state complete through
         degree `until`."""
-        while self.pairs:
-            d = self.pairs[0][0]
+        pairs = self.pairs
+        limit = self.pk.floor + EXP_LIMIT
+        while pairs:
+            d = pairs[0][0]
             if until is not None and d > until:
                 return
-            _, i, j = heapq.heappop(self.pairs)
+            _, i, j, lcm = heappop(pairs)
             self.pending.discard((i, j))
-            if self._chain_skip(i, j):
+            if d > limit:
+                # every term of the S-pair has twisted degree d
+                self.pk.check(d)
+            if self._chain_skip(i, j, lcm):
                 continue
-            nf = self._reduce_dict(self._spair(i, j))
-            if nf:
-                self._append(self._element(nf).monic())
+            self._add(self._spair(i, j, lcm))
 
-    def leads_by_position(self) -> dict:
-        out = {}
-        for pos, lst in self.by_pos.items():
-            out[pos] = [e for _, e, _, _ in lst]
+    def reduced_basis(self, ambient: FreeModule = None, below: int = None):
+        """The reduced basis of the elements so far, or of those whose
+        packed lead is < below: minimal leads, fully tail-reduced, monic,
+        sorted by lead term, as elements of `ambient` (this run's by
+        default), which must pack these terms to the same keys."""
+        order = sorted(range(len(self.leads)), key=self.leads.__getitem__)
+        if below is not None:
+            order = [i for i in order if self.leads[i] < below]
+        reducer = BuchbergerState(ambient or self.ambient, [],
+                                  build_pairs=False,
+                                  packing=None if ambient else self.pk)
+        for i in order:
+            # a divisor lead is <= in the order, so scanning ascending suffices
+            lead = self.leads[i]
+            if reducer.find_reducer(lead) is None:
+                reducer._enter(lead, self.tails[i])
+        out = []
+        for lead, tail in zip(reducer.leads, reducer.tails):
+            terms = {lead: 1}
+            terms.update(reducer._reduce_dict(dict(tail)))
+            out.append(reducer._unpack(terms, None if ambient else self.seen))
         return out
-
-
-def _interreduce(ambient: FreeModule, elems):
-    """Minimal leads, fully tail-reduced, monic, sorted by lead term."""
-    elems = [g for g in elems if g]
-    elems.sort(key=lambda g: ambient.term_key(g.lead_term()[0]))
-    reducer = BuchbergerState(ambient, [], build_pairs=False)
-    for g in elems:
-        (pos, e), _ = g.lead_term()
-        # a divisor lead is <= in the order, so scanning ascending suffices
-        if reducer.find_reducer((pos, e)) is None:
-            reducer._append(g.monic())
-    out = []
-    for g, tail in zip(reducer.basis, reducer.tails):
-        lt, lc = g.lead_term()
-        terms = {lt: lc}
-        terms.update(reducer._reduce_dict(dict(tail)))
-        out.append(FreeElement(ambient, terms, _checked=True, _lead=lt))
-    out.sort(key=lambda g: ambient.term_key(g.lead_term()[0]))
-    return out
 
 
 class SubmoduleBasis:
@@ -300,7 +452,10 @@ class SubmoduleBasis:
         if self._index is None:
             st = BuchbergerState(self.ambient, [], build_pairs=False)
             for g in self.gb:
-                st._append(g)
+                work = st._pack(g)
+                lead = st.pk.pack(g.lead_term()[0])
+                del work[lead]
+                st._enter(lead, list(work.items()))
             self._index = st
         return self._index
 
@@ -310,11 +465,15 @@ class SubmoduleBasis:
         return self._reducer().normal_form(v)
 
     def contains(self, v: FreeElement) -> bool:
+        if not v:
+            return True
+        st = self._reducer()
+        st.pk.check(v.degree)
         # a v whose lead no lead of the basis divides is outside, with no
         # normal form needed
-        if v and self._reducer().find_reducer(v.lead_term()[0]) is None:
+        if st.find_reducer(st.pk.pack(v.lead_term()[0])) is None:
             return False
-        return not self.normal_form(v)
+        return not st._reduce_dict(st._pack(v))
 
     def contains_all(self, others) -> bool:
         return all(self.contains(g) for g in others)
@@ -347,8 +506,8 @@ def groebner_basis(ambient: FreeModule, gens, *, assume_reduced_prefix: int = 0,
     live = [g for g in gens if g]
     state = BuchbergerState(ambient, live, assume_reduced_prefix)
     state.process()
-    gb = _interreduce(ambient, state.basis)
-    basis = SubmoduleBasis(ambient, keep_gens if keep_gens is not None else live, gb)
+    basis = SubmoduleBasis(ambient, keep_gens if keep_gens is not None else live,
+                           state.reduced_basis())
     if _DEBUG_VERIFY:
         verify_basis(basis)
     return basis
@@ -390,39 +549,41 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     sum u_i * cols[i] inside the relation submodule.
     """
     ring = target.ring
+    r = target.rank
     big = FreeModule(ring, tuple(target.twists) + tuple(col_twists),
-                     elim_rank=target.rank)
-    elems = []
+                     elim_rank=r)
+    # the target positions come first in big, with the same twists, so the
+    # columns and relations pack as they are
+    state = BuchbergerState(big, [])
+    zero = ring.zero_exps()
     for idx, col in enumerate(cols):
-        terms = {(pos, e): c for (pos, e), c in col.terms.items()}
-        terms[(target.rank + idx, ring.zero_exps())] = 1
-        elems.append(FreeElement(big, terms))
+        work = {}
+        if col:
+            if col.degree != col_twists[idx]:
+                raise HomogeneityViolation(
+                    f"column {idx} has degree {col.degree}, "
+                    f"twist {col_twists[idx]}")
+            work = state._pack(col)
+        work[state.pk.pack((r + idx, zero))] = 1
+        state._add(work)
     rel_gens = ()
     if relations is not None:
         rel_gens = relations.gb if isinstance(relations, SubmoduleBasis) else relations
     for rel in rel_gens:
-        if not rel:
-            continue
-        elems.append(FreeElement(big, dict(rel.terms), _checked=True))
-    # under the block order an element whose lead lies in the tracking
-    # block lies there entirely, and those elements are a basis of the
-    # kernel: only they need interreducing
-    state = BuchbergerState(big, elems)
+        if rel:
+            state._add(state._pack(rel))
     state.process()
     if _DEBUG_VERIFY:
         # the whole big-module basis: a wrongly skipped pair may lose a
         # kernel element without leaving the kernel part non-Groebner
-        verify_basis(SubmoduleBasis(big, elems, state.basis))
+        verify_basis(SubmoduleBasis(big, (), state.basis))
+    # under the block order an element whose lead lies in the tracking
+    # block lies there entirely, and those elements are a basis of the
+    # kernel: only they need interreducing.  Their keys, below the block
+    # bit, are also the keys of the same terms in the small module, with
+    # positions moved down by r.
     small = FreeModule(ring, tuple(col_twists))
-    r = target.rank
-    tracked = []
-    for g in state.basis:
-        (pos, e), _ = g.lead_term()
-        if pos >= r:
-            tracked.append(FreeElement(
-                small, {(q - r, m): c for (q, m), c in g.terms.items()},
-                _checked=True, _lead=(pos - r, e)))
-    kernel = _interreduce(small, tracked)
+    kernel = state.reduced_basis(small, below=state.pk.block)
     out = SubmoduleBasis(small, kernel, kernel)
     if _DEBUG_VERIFY:
         verify_basis(out)

@@ -60,7 +60,7 @@ from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       submodule_intersect, substitute_element,
                       substitute_linear)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, binomial,
-                   mono_divides, poly_in_position)
+                   mono_divides, poly_in_position, poly_times_element)
 
 TABLE_CAP = 64
 
@@ -773,10 +773,11 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
     P by a product of two later entries must equal the colon by the second
     factor alone.  P : a_j lies inside P : a_i·a_j, so the two are equal
     exactly when F modulo each has the same Hilbert series, which
-    colon_series reads off one basis of P + fF each.  The colons are built
-    only for a failing pair, to name a witness from the reduced bases, and
-    under --verify-gb for every pair, where they must agree with the
-    series."""
+    colon_series reads off one basis of P + fF each.  For a failing pair
+    the witness is the first element g of the reduced basis of P : a_i·a_j
+    outside P : a_j, that is with a_j·g outside P: one normal form each,
+    with no basis of P : a_j.  Under --verify-gb both colons are built for
+    every pair, and they must agree with the series."""
     if module is not None and (not isinstance(seq, ParameterSequence)
                                or seq.module is not module):
         seq = ParameterSequence(module, _gens_for(seq))
@@ -793,13 +794,18 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
             if same and not debug_verification_enabled():
                 continue
             lhs = submodule_colon(prefix, ai * aj)
-            rhs = submodule_colon(prefix, aj)
-            if (lhs == rhs) != same:
-                raise CrossCheckFailure(
-                    f"is_d_sequence at {(i, j)}: the colon series and the "
-                    "colons disagree")
+            witness = None if same else next(
+                (g for g in lhs.gb
+                 if not prefix.contains(poly_times_element(aj, g))), None)
+            if debug_verification_enabled():
+                rhs = submodule_colon(prefix, aj)
+                if (lhs == rhs) != same or witness is not next(
+                        (g for g in lhs.gb if not same and rhs.normal_form(g)),
+                        None):
+                    raise CrossCheckFailure(
+                        f"is_d_sequence at {(i, j)}: the colon series, the "
+                        "colons and the witness disagree")
             if not same:
-                witness = next((g for g in lhs.gb if rhs.normal_form(g)), None)
                 return DSequenceReport(False, (i, j),
                                        str(witness) if witness else None)
     return DSequenceReport(True)

@@ -5,7 +5,11 @@ Coefficients live in Z/p for a fixed odd prime p (default 32003); lengths and
 combinatorial counts are arbitrary-precision Python integers.  Monomials are
 bare exponent tuples compared degree-reverse-lexicographically, free-module
 terms are (position, exponents) pairs compared term-over-position with the
-smaller position winning ties.  Values are immutable once constructed.
+smaller position winning ties.  Values are immutable once constructed, and
+an element carries its degree and, once known, its lead term.  FreeModule's
+term_key defines each module order; inside a Buchberger run the engine packs
+every term into one int that sorts the same way (groebner.Packing), and
+hands back tuples.
 """
 from __future__ import annotations
 
@@ -65,19 +69,6 @@ def mono_div(a: Exps, b: Exps) -> Exps:
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_mask(e: Exps) -> int:
-    """Bit i set when x_i occurs in e.  If a divides b, then
-    mono_mask(a) & ~mono_mask(b) == 0, so one AND rejects most
-    non-divisors (Bachmann-Schoenemann's short exponent vectors)."""
-    m = 0
-    bit = 1
-    for x in e:
-        if x:
-            m |= bit
-        bit <<= 1
-    return m
 
 
 def degrevlex_key(e: Exps):
@@ -354,18 +345,6 @@ class FreeModule:
         block = 1 if pos < self.elim_rank else 0
         return (block, sum(e), tuple(-x for x in reversed(e)), -pos)
 
-    def heap_key(self, t: Term):
-        """Negated term_key so a min-heap pops the largest term first."""
-        pos, e = t
-        b = self.tangent_block
-        if b:
-            d = self.tangent_weight
-            w = sum(e[:b]) if d == 1 else d * sum(e[:b - 1]) + e[b - 1]
-            return (-sum(e) - self.twists[pos], w, -sum(e),
-                    tuple(reversed(e)), pos)
-        block = 1 if pos < self.elim_rank else 0
-        return (-block, -sum(e), tuple(reversed(e)), pos)
-
     def term_degree(self, t: Term) -> int:
         pos, e = t
         return sum(e) + self.twists[pos]
@@ -380,16 +359,18 @@ class FreeModule:
 class FreeElement:
     """Homogeneous element of a graded free module, {(pos, exps): coeff}.
 
-    _lead is internal: the engine passes the lead term in when it already
-    knows it (a reduction fills its output largest term first, and shifting
-    or scaling an element moves its lead along, since every module order is
-    multiplicative).  Otherwise lead_term() finds it once, on demand.
+    _lead and _degree are internal: the engine passes the lead term in when
+    it already knows it (a reduction fills its output largest term first,
+    and shifting or scaling an element moves its lead along, since every
+    module order is multiplicative).  Otherwise lead_term() finds it once,
+    on demand.  Likewise a known degree skips the homogeneity scan; it is
+    passed only with _checked terms.
     """
 
     __slots__ = ("ambient", "terms", "degree", "_lead")
 
     def __init__(self, ambient: FreeModule, terms: dict, _checked: bool = False,
-                 _lead=None):
+                 _lead=None, _degree=None):
         p = ambient.ring.prime
         if not _checked:
             clean = {}
@@ -400,15 +381,16 @@ class FreeElement:
             terms = clean
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", terms)
-        twists = ambient.twists
-        deg = None
-        for pos, e in terms:
-            d = sum(e) + twists[pos]
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise HomogeneityViolation(
-                    f"mixed degrees {deg} and {d} in one module element")
+        deg = _degree
+        if deg is None:
+            twists = ambient.twists
+            for pos, e in terms:
+                d = sum(e) + twists[pos]
+                if deg is None:
+                    deg = d
+                elif d != deg:
+                    raise HomogeneityViolation(
+                        f"mixed degrees {deg} and {d} in one module element")
         object.__setattr__(self, "degree", deg)
         object.__setattr__(self, "_lead", _lead)
 
@@ -457,7 +439,7 @@ class FreeElement:
     def __neg__(self) -> "FreeElement":
         p = self.ambient.ring.prime
         return FreeElement(self.ambient, {t: p - c for t, c in self.terms.items()},
-                           _checked=True, _lead=self._lead)
+                           _checked=True, _lead=self._lead, _degree=self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -468,7 +450,7 @@ class FreeElement:
         if c == 0:
             return self.ambient.zero()
         return FreeElement(self.ambient, {t: (c * v) % p for t, v in self.terms.items()},
-                           _checked=True, _lead=self._lead)
+                           _checked=True, _lead=self._lead, _degree=self.degree)
 
     def monic(self) -> "FreeElement":
         lt = self.lead_term()
@@ -488,7 +470,9 @@ class FreeElement:
         lead = self._lead
         if lead is not None:
             lead = (lead[0], mono_mul(lead[1], exps))
-        return FreeElement(self.ambient, out, _checked=True, _lead=lead)
+        deg = self.degree
+        return FreeElement(self.ambient, out, _checked=True, _lead=lead,
+                           _degree=None if deg is None else deg + sum(exps))
 
     def component(self, pos: int) -> Polynomial:
         return Polynomial(self.ambient.ring,

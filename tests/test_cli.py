@@ -148,6 +148,23 @@ def test_wide_ring_dimension_is_computed(capsys, tmp_path):
         "message": "module has dimension 16, got 2 parameters"}
 
 
+def test_exponent_past_the_packed_fields_is_a_precondition_error(capsys,
+                                                                  tmp_path):
+    # the engine packs each exponent into a 16-bit field; an input it cannot
+    # pack is refused with a structured error and exit 3, never a wrong
+    # number or a traceback
+    path = tmp_path / "huge.ses"
+    path.write_text("ring R = vars x y\nideal I = x^40000\n"
+                    "algebra A = R / I\nsequence Q = y\n"
+                    "compute invariants A Q\n")
+    code, agg, err = run_json(capsys, ["run", str(path), "--no-timings"])
+    assert code == EXIT_ENGINE
+    error = agg["reports"][0]["error"]
+    assert error["type"] == "PreconditionViolation"
+    assert "packed-term limit 32767" in error["message"]
+    assert "Traceback" not in err
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("boom")
 

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genuslab import oracle
-from genuslab.errors import CrossCheckFailure, InfiniteLength
-from genuslab.groebner import (BuchbergerState, NEG_INF, SubmoduleBasis,
-                               _interreduce, count_standard_monomials, finite_colength,
-                               groebner_basis, kernel_of_map,
+from genuslab.errors import (CrossCheckFailure, InfiniteLength,
+                             PreconditionViolation)
+from genuslab.groebner import (BuchbergerState, EXP_LIMIT, NEG_INF, Packing,
+                               SubmoduleBasis, count_standard_monomials,
+                               finite_colength, groebner_basis, kernel_of_map,
                                quotient_dimension, quotient_total_length,
                                series_dimension, set_debug_verification,
                                syzygies, verify_basis)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing,
-                           element_from_components, mono_divides,
+                           element_from_components, mono_divides, mono_lcm,
                            poly_in_position, poly_times_element)
 
 from oracle_battery import run_battery
@@ -422,7 +423,8 @@ def test_verification_covers_the_kernel_run(monkeypatch):
     x, y = R.variable(0), R.variable(1)
     F = FreeModule(R, (0,))
     cols = [poly_in_position(F, x, 0), poly_in_position(F, y, 0)]
-    monkeypatch.setattr(BuchbergerState, "_chain_skip", lambda self, i, j: True)
+    monkeypatch.setattr(BuchbergerState, "_chain_skip",
+                        lambda self, i, j, lcm: True)
     assert not kernel_of_map(cols, [1, 1], F).gb
     set_debug_verification(True)
     try:
@@ -454,6 +456,10 @@ def _lead_is_fresh(g):
     return not g or g.lead_term()[0] == max(g.terms, key=g.ambient.term_key)
 
 
+def _degree_is_fresh(g):
+    return g.degree == FreeElement(g.ambient, dict(g.terms)).degree
+
+
 @given(st.data(), st.sampled_from(range(len(_ORDERS))))
 @settings(max_examples=60, deadline=None)
 def test_carried_leads_match_recomputed(data, order):
@@ -466,14 +472,15 @@ def test_carried_leads_match_recomputed(data, order):
         g.lead_term()  # carried from here on
         for h in (g.shifted(shift), g.shifted(shift, c), g.scale(c),
                   g.monic(), -g):
-            assert _lead_is_fresh(h)
+            assert _lead_is_fresh(h) and _degree_is_fresh(h)
     basis = groebner_basis(F, gens)
     for g in basis.gb:
-        assert _lead_is_fresh(g)
-    assert _lead_is_fresh(basis.normal_form(v))
-    assert _lead_is_fresh(BuchbergerState(F, gens).normal_form(v))
-    for g in _interreduce(F, gens + [v]):
-        assert _lead_is_fresh(g)
+        assert _lead_is_fresh(g) and _degree_is_fresh(g)
+    for h in (basis.normal_form(v), BuchbergerState(F, gens).normal_form(v)):
+        assert _lead_is_fresh(h) and _degree_is_fresh(h)
+    state = BuchbergerState(F, gens + [v], build_pairs=False)
+    for g in state.reduced_basis() + state.basis:
+        assert _lead_is_fresh(g) and _degree_is_fresh(g)
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.lists(st.integers(0, 2),
@@ -483,15 +490,87 @@ def test_carried_leads_match_recomputed(data, order):
                                                       min_size=5, max_size=5)),
                 min_size=1, max_size=20))
 @settings(max_examples=80, deadline=None)
-def test_masked_find_reducer_is_the_first_divisor(leads, terms):
+def test_guarded_find_reducer_is_the_first_divisor(leads, terms):
     R = PolyRing(tuple("abcde"), 32003)
     F = FreeModule(R, (0, 0))
     st_ = BuchbergerState(F, [], build_pairs=False)
+    pack = st_.pk.pack
     for pos, e in leads:
-        st_._append(FreeElement(F, {(pos, tuple(e)): 1}))
+        lead = pack((pos, tuple(e)))
+        st_._append(lead, {lead: 1})
     for pos, e in terms:
         e = tuple(e)
         plain = next((i for i, g in enumerate(st_.basis)
                       if g.lead_term()[0][0] == pos
                       and mono_divides(g.lead_term()[0][1], e)), None)
-        assert st_.find_reducer((pos, e)) == plain
+        assert st_.find_reducer(pack((pos, e))) == plain
+
+
+# -- packed terms --------------------------------------------------------------
+
+_R4 = PolyRing(tuple("xyzw"), 32003)
+
+
+@st.composite
+def _packed_orders(draw):
+    """The three kinds of order in _ORDERS, over four variables, with drawn
+    twists (negative ones included), tangent blocks and weights 1-3."""
+    twists = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    kind = draw(st.sampled_from(["degrevlex", "elimination", "tangent"]))
+    if kind == "elimination":
+        return FreeModule(_R4, twists, elim_rank=draw(st.integers(1, 2)))
+    if kind == "tangent":
+        return FreeModule(_R4, twists, tangent_block=draw(st.integers(1, 3)),
+                          tangent_weight=draw(st.integers(1, 3)))
+    return FreeModule(_R4, twists)
+
+
+_TERMS = st.lists(st.tuples(st.integers(0, 2),
+                            st.tuples(*[st.integers(0, 3)] * 4)),
+                  min_size=2, max_size=30, unique=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_packed_orders(), _TERMS, st.tuples(*[st.integers(0, 3)] * 4))
+def test_packed_terms_follow_term_key(F, terms, s):
+    pk = Packing(F)
+    pack = pk.pack
+    # the integer order is the term order
+    assert (sorted(terms, key=F.term_key) == sorted(terms, key=pack))
+    for pos, e in terms:
+        t = (pos, e)
+        assert pk.term(pack(t)) == t
+        # multiplying by x^s adds delta(s), the same at every position
+        shifted = (pos, tuple(a + b for a, b in zip(e, s)))
+        assert pack(shifted) == pack(t) + sum(a * d for a, d in zip(s, pk.delta))
+    # the guarded subtraction is divisibility at one position, and the
+    # packed lcm of two terms there is the lcm of their exponents
+    for lead in terms:
+        for t in terms:
+            if lead[0] == t[0]:
+                guarded = (pk.guarded(pack(lead)) - pack(t)) & pk.guard
+                assert (guarded == pk.guard) == mono_divides(lead[1], t[1])
+                lcm = mono_lcm(lead[1], t[1])
+                assert pk.lcm(pack(lead), pack(t)) == (
+                    pack((lead[0], lcm)), sum(lcm) - sum(lead[1]))
+
+
+def test_packing_refuses_degrees_past_its_fields():
+    F = FreeModule(_R4, (0, -3))
+    x = _R4.variable(0)
+    # the run may reach position 1, where a term of this twisted degree has
+    # a monomial three degrees higher
+    ok = poly_in_position(F, x ** (EXP_LIMIT - 3), 0)
+    assert groebner_basis(F, [ok]).gb[0].terms == ok.terms
+    over = poly_in_position(F, x ** (EXP_LIMIT - 2), 0)
+    with pytest.raises(PreconditionViolation, match=str(EXP_LIMIT)):
+        groebner_basis(F, [over])
+    # a pair whose S-polynomial would pass the limit stops the run before
+    # it is built, though both generators pack
+    y, z, w = (_R4.variable(i) for i in (1, 2, 3))
+    G = FreeModule(_R4, (0,))
+    half = EXP_LIMIT // 2 + 1
+    gens = [poly_in_position(G, x ** half * y + z ** (half + 1), 0),
+            poly_in_position(G, x * y ** half + w ** (half + 1), 0)]
+    with pytest.raises(PreconditionViolation, match="packed-term limit"):
+        groebner_basis(G, gens)

@@ -736,6 +736,35 @@ def test_d_sequence_series_matches_the_colons():
     assert outcomes.count(False) >= 20 and outcomes.count(True) >= 20
 
 
+def test_d_sequence_witness_needs_one_colon(monkeypatch):
+    # a failing pair names its witness from the basis of P : a_i·a_j, with
+    # one normal form of a_j·g per element g and no basis of P : a_j; the
+    # witness is the one the two colons name, and under --verify-gb, which
+    # builds both, the report is the same
+    built = []
+    colon = invariants.submodule_colon
+    monkeypatch.setattr(invariants, "submodule_colon",
+                        lambda n, f: built.append(f) or colon(n, f))
+    failing = 0
+    for seed in range(40):
+        module, seq = random_instance(seed)
+        cand = ParameterSequence(module, (seq.gens[0] ** 2,) + seq.gens[1:])
+        built.clear()
+        rep = is_d_sequence(cand)
+        assert len(built) == (0 if rep.holds else 1)
+        if rep.holds:
+            continue
+        failing += 1
+        assert (rep.holds, rep.violation, rep.witness) \
+            == _colon_d_sequence(cand), seed
+        set_debug_verification(True)
+        try:
+            assert is_d_sequence(cand) == rep
+        finally:
+            set_debug_verification(False)
+    assert failing >= 10
+
+
 def test_verify_gb_catches_a_wrong_d_sequence_series(monkeypatch):
     A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y * y])
     seq = ParameterSequence(A.cyclic_module(), (y,))

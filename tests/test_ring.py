@@ -196,21 +196,6 @@ def test_elimination_block_dominates():
     low = (1, (5, 0))
     high = (0, (0, 0))
     assert F.term_key(high) > F.term_key(low)
-    # min-heap key pops the larger term first
-    assert F.heap_key(high) < F.heap_key(low)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2),
-                          st.tuples(*[st.integers(0, 3)] * 4)),
-                min_size=2, max_size=30, unique=True),
-       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(1, 3),
-       st.integers(1, 3))
-def test_tangent_heap_key_negates_term_key(terms, twists, block, weight):
-    F = FreeModule(make_ring("xyzw"), twists, tangent_block=block,
-                   tangent_weight=weight)
-    assert (sorted(terms, key=F.term_key, reverse=True)
-            == sorted(terms, key=F.heap_key))
 
 
 def test_tangent_order_leads_with_lowest_block_degree():
