@@ -799,9 +799,9 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
                  if not prefix.contains(poly_times_element(aj, g))), None)
             if debug_verification_enabled():
                 rhs = submodule_colon(prefix, aj)
-                if (lhs == rhs) != same or witness is not next(
-                        (g for g in lhs.gb if not same and rhs.normal_form(g)),
-                        None):
+                named = None if same else next(
+                    (g for g in lhs.gb if rhs.normal_form(g)), None)
+                if (lhs == rhs) != same or named is not witness:
                     raise CrossCheckFailure(
                         f"is_d_sequence at {(i, j)}: the colon series, the "
                         "colons and the witness disagree")
