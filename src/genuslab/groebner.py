@@ -294,8 +294,7 @@ class BuchbergerState:
         """Normal form of the packed element `work` (consumed), as a dict
         filled largest term first: its first key is the lead."""
         p = self.prime
-        guard = self.pk.guard
-        by_pos, leads, tails = self.by_pos, self.leads, self.tails
+        find_reducer, leads, tails = self.find_reducer, self.leads, self.tails
         heap = [-k for k in work]
         heapify(heap)
         out = {}
@@ -304,10 +303,8 @@ class BuchbergerState:
             c = work.pop(t, None)
             if c is None:
                 continue  # cancelled or stale entry
-            for lg, idx in by_pos.get(t & FIELD_MASK, ()):
-                if (lg - t) & guard == guard:
-                    break
-            else:
+            idx = find_reducer(t)
+            if idx is None:
                 out[t] = c
                 continue
             # the reducer is monic, so its lead cancels t exactly
