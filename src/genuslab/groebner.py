@@ -29,6 +29,8 @@ lead lies in the tracking block lies there entirely, and those elements of
 the finished Buchberger run form a basis of the kernel; only they are
 interreduced.  The reduced basis is unique, so this is the kernel's reduced
 basis, the same as the tracking part of the whole module's reduced basis.
+A submodule is carried as its reduced basis alone (SubmoduleBasis), so
+syzygies takes the generators it relates as an argument.
 Under debug verification the whole run is re-checked, not only the kernel:
 a wrongly skipped pair can lose a kernel element and still leave the rest a
 Groebner basis.
@@ -418,23 +420,22 @@ class BuchbergerState:
 
 
 class SubmoduleBasis:
-    """A submodule of a graded free module, carrying its reduced basis.
+    """A submodule of a graded free module, as its reduced basis.
 
     gb is canonical for the ambient and order: two bases are equal as
     submodules iff their gb tuples match.
     """
 
-    __slots__ = ("ambient", "gens", "gb", "_index")
+    __slots__ = ("ambient", "gb", "_index")
 
-    def __init__(self, ambient: FreeModule, gens, gb):
+    def __init__(self, ambient: FreeModule, gb):
         self.ambient = ambient
-        self.gens = tuple(gens)
         self.gb = tuple(gb)
         self._index = None
 
     @classmethod
     def zero(cls, ambient: FreeModule) -> "SubmoduleBasis":
-        return cls(ambient, (), ())
+        return cls(ambient, ())
 
     def __eq__(self, other):
         return (isinstance(other, SubmoduleBasis)
@@ -482,15 +483,6 @@ class SubmoduleBasis:
             out.setdefault(pos, []).append(e)
         return out
 
-    def standard_monomial_count(self, t: int) -> int:
-        """Number of monomials of degree t in the quotient ambient/self."""
-        leads = self.leads_by_position()
-        n = self.ambient.ring.nvars
-        total = 0
-        for pos, twist in enumerate(self.ambient.twists):
-            total += count_standard_monomials(leads.get(pos, ()), n, t - twist)
-        return total
-
     def is_full(self) -> bool:
         """Does the submodule contain every ambient generator?"""
         leads = self.leads_by_position()
@@ -498,13 +490,11 @@ class SubmoduleBasis:
         return all(zero in leads.get(pos, ()) for pos in range(self.ambient.rank))
 
 
-def groebner_basis(ambient: FreeModule, gens, *, assume_reduced_prefix: int = 0,
-                   keep_gens=None) -> SubmoduleBasis:
-    live = [g for g in gens if g]
-    state = BuchbergerState(ambient, live, assume_reduced_prefix)
+def groebner_basis(ambient: FreeModule, gens, *,
+                   assume_reduced_prefix: int = 0) -> SubmoduleBasis:
+    state = BuchbergerState(ambient, gens, assume_reduced_prefix)
     state.process()
-    basis = SubmoduleBasis(ambient, keep_gens if keep_gens is not None else live,
-                           state.reduced_basis())
+    basis = SubmoduleBasis(ambient, state.reduced_basis())
     if _DEBUG_VERIFY:
         verify_basis(basis)
     return basis
@@ -573,7 +563,7 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     if _DEBUG_VERIFY:
         # the whole big-module basis: a wrongly skipped pair may lose a
         # kernel element without leaving the kernel part non-Groebner
-        verify_basis(SubmoduleBasis(big, (), state.basis))
+        verify_basis(SubmoduleBasis(big, state.basis))
     # under the block order an element whose lead lies in the tracking
     # block lies there entirely, and those elements are a basis of the
     # kernel: only they need interreducing.  Their keys, below the block
@@ -581,17 +571,18 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     # positions moved down by r.
     small = FreeModule(ring, tuple(col_twists))
     kernel = state.reduced_basis(small, below=state.pk.block)
-    out = SubmoduleBasis(small, kernel, kernel)
+    out = SubmoduleBasis(small, kernel)
     if _DEBUG_VERIFY:
         verify_basis(out)
     return out
 
 
-def syzygies(basis: SubmoduleBasis) -> SubmoduleBasis:
-    """Syzygy module of basis.gens, as a submodule of S^len(gens)."""
-    cols = list(basis.gens)
+def syzygies(ambient: FreeModule, gens) -> SubmoduleBasis:
+    """Syzygy module of the elements gens of ambient, as a submodule of
+    S^len(gens); a zero generator gets twist 0."""
+    cols = list(gens)
     twists = [g.degree if g else 0 for g in cols]
-    return kernel_of_map(cols, twists, basis.ambient, relations=None)
+    return kernel_of_map(cols, twists, ambient)
 
 
 # -- standard monomial counting ----------------------------------------------
@@ -660,8 +651,8 @@ def _hilbert_numerator(leads, n: int) -> dict:
 
 
 def _series_value(num: dict, n: int, t: int) -> int:
-    if t < 0:
-        return 0
+    """Coefficient of t in num/(1-t)^n.  num may have negative degrees,
+    as a twisted module's numerator does."""
     if n == 0:
         return num.get(t, 0)
     return sum(c * binomial(t - j + n - 1, n - 1)
@@ -754,7 +745,8 @@ def quotient_dimension(basis: SubmoduleBasis):
 
 
 def quotient_hilbert_function(basis: SubmoduleBasis, t: int) -> int:
-    return basis.standard_monomial_count(t)
+    """dim_k of the degree-t piece of ambient/basis, read off its series."""
+    return _series_value(hilbert_series(basis), basis.ambient.ring.nvars, t)
 
 
 def quotient_total_length(basis: SubmoduleBasis) -> int:

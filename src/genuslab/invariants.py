@@ -34,9 +34,11 @@ sum, by additivity along a short exact sequence.  For f of degree δ,
 HS(F/(N : f)) = t^-δ·(HS(F/N) - HS(F/(N + fF))) (`colon_series`), and
 0 -> F/(A ∩ B) -> F/A ⊕ F/B -> F/(A + B) -> 0 gives the intersection.  The
 steps of the colon window, the d-sequence colon test, the filter-regularity
-test, the Prop 3.8 colon defect and the Thm 3.4 intersection all compare or
-measure such series; for a submodule that contains another, equal series
-mean equal submodules.  Under --verify-gb each of them is also built as a
+test, the annihilator (0 :_M a) of a superficiality test, the Prop 3.8
+colon defect and the Thm 3.4 intersection all compare or measure such
+series; for a submodule that contains another, equal series mean equal
+submodules.  Thm 3.4's duals are tested for annihilation by membership
+(`_not_annihilating`).  Under --verify-gb each of them is also built as a
 kernel and must agree.
 """
 from __future__ import annotations
@@ -518,18 +520,36 @@ class SuperficialityReport:
     witness: str = None
 
 
-def _annihilator(a, module: GradedModule) -> GradedModule:
-    """(0 :_M a), presented on its own generators."""
-    colon = submodule_colon(module.relations, a)
-    return present_subquotient(module.algebra, list(colon.gb),
-                               module.relations, module.ambient)
+def _annihilator(a, module: GradedModule):
+    """(d, e) for (0 :_M a) = (N : a)/N: its Krull dimension and the
+    multiplicity of its Hilbert series, the length when d <= 0.  By
+    additivity HS((N : a)/N) = HS(F/N) - HS(F/(N : a)), which colon_series
+    reads off one basis of N + aF.  Memoized on the module per element and
+    --verify-gb state; under --verify-gb the colon is also built and
+    presented, and the two must agree."""
+    def build():
+        got = series_dimension(combine_series(
+            (1, 0, hilbert_series(module.relations)),
+            (-1, 0, colon_series(module.relations, a))),
+            module.algebra.ring.nvars)
+        if debug_verification_enabled():
+            colon = submodule_colon(module.relations, a)
+            presented = present_subquotient(module.algebra, list(colon.gb),
+                                            module.relations, module.ambient)
+            built = (presented.dimension(), presented.degree())
+            if built != got:
+                raise CrossCheckFailure(
+                    f"_annihilator: (dimension, multiplicity) {got} from the "
+                    f"series, {built} from the presented colon")
+        return got
+    return module._memo(("annihilator", a, debug_verification_enabled()),
+                        build)
 
 
-def _windowed_superficial(a, module: GradedModule, qgens, killed,
-                          c_max=3, window=2):
+def _windowed_superficial(a, module: GradedModule, qgens, c_max=3, window=2):
     """Colon-window test: (Q^{n+1}M : a) ∩ Q^c M = Q^n M for c <= c_max and
-    a window of n, after refuting on a positive-dimensional annihilator
-    `killed`.  Returns (status, start).  The levels L_k = N + Q^k F are the
+    a window of n, after refuting when (0 :_M a) has positive dimension.
+    Returns (status, start).  The levels L_k = N + Q^k F are the
     module's power_submodule bases, shared with the direct table route.  A
     heuristic, kept for what the graded test cannot decide: a one-power Q
     whose weight-D form of a is not filter-regular on gr_W(M), a Q with two
@@ -546,7 +566,7 @@ def _windowed_superficial(a, module: GradedModule, qgens, killed,
     multiples by a, and none at n = c, where the step always holds.  Under
     --verify-gb every step is also decided by the colon and the
     intersection, and the two must agree."""
-    if killed.dimension() > 0:
+    if _annihilator(a, module)[0] > 0:
         return "refuted", None
     level = lambda k: module.power_submodule(qgens, k)
     series = {}
@@ -670,27 +690,23 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
     return series_dimension(diff, module.algebra.ring.nvars)[0] <= 0
 
 
-def _superficial_status(a, module: GradedModule, gens, killed=None):
+def _superficial_status(a, module: GradedModule, gens):
     """(status, window start) for one element.  On the graded table route
     a filter-regular weight-D form gives verified, and for linear Q a
     zero-divisor gives refuted; under --verify-gb a conclusive colon window
     must agree with either.  The colon window decides the rest: a one-power
     Q whose form is a zero-divisor, and every Q off the graded route.
-    killed is (0 :_M a), computed here when needed and not supplied.
     Memoized on the module per element and set of generators, since the
     d-sequence search asks again for the candidates of every attempt, and
     per --verify-gb state, so that a verdict reached unchecked is never
     handed out as a checked one."""
     def build():
         eng = _graded_engine(module, gens)
-        ann = killed
         if eng is not None:
             exact = _graded_superficial(a, module, gens)
             if exact or eng.weight == 1:
                 if debug_verification_enabled():
-                    if ann is None:
-                        ann = _annihilator(a, module)
-                    window, _ = _windowed_superficial(a, module, gens, ann)
+                    window, _ = _windowed_superficial(a, module, gens)
                     if (window != "inconclusive"
                             and (window == "verified") != exact):
                         raise CrossCheckFailure(
@@ -698,9 +714,7 @@ def _superficial_status(a, module: GradedModule, gens, killed=None):
                             f"form is {'' if exact else 'not '}filter-regular "
                             "on the associated graded module")
                 return ("verified" if exact else "refuted"), None
-        if ann is None:
-            ann = _annihilator(a, module)
-        return _windowed_superficial(a, module, gens, ann)
+        return _windowed_superficial(a, module, gens)
     return module._memo(("superficial", a, frozenset(gens),
                          debug_verification_enabled()), build)
 
@@ -725,17 +739,16 @@ def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
     if deep.contains(poly_in_position(deep.ambient, a, 0)):
         raise PreconditionViolation(
             "the element lies in the irrelevant multiple of the ideal")
-    killed = _annihilator(a, module)
-    if killed.dimension() > 0:
+    dim0, length0 = _annihilator(a, module)
+    if dim0 > 0:
         return SuperficialityReport(
             "refuted", witness="the annihilator of the element has dimension "
-            f"{killed.dimension()}")
-    status, start = _superficial_status(a, module, gens, killed)
+            f"{dim0}")
+    status, start = _superficial_status(a, module, gens)
     if status == "refuted":
         return SuperficialityReport(
             "refuted", witness="the initial form of the element is not "
             "filter-regular on the associated graded module")
-    length0 = killed.total_length()
     if status == "verified":
         d = module.dimension()
         if d != NEG_INF and int(d) >= 2:
@@ -1005,6 +1018,24 @@ class EquivalenceReport:
         return all(c.ok for c in self.consequences)
 
 
+def _not_annihilating(polys, module: GradedModule) -> list:
+    """The polys g with g·M != 0.  g kills M = F/N exactly when g·e_j lies
+    in N for every position j, one membership test each, so no annihilator
+    is built.  Under --verify-gb the annihilator is also built as a kernel,
+    and the two must name the same polys."""
+    out = [g for g in polys
+           if not module.relations.contains_all(module.ideal_multiples([g]))]
+    if debug_verification_enabled():
+        ann = module.annihilator()
+        built = [g for g in polys
+                 if not ann.contains(poly_in_position(ann.ambient, g, 0))]
+        if built != out:
+            raise CrossCheckFailure(
+                f"_not_annihilating: {[str(g) for g in out]} act nonzero by "
+                f"membership, {[str(g) for g in built]} by the annihilator")
+    return out
+
+
 def check_theorem34(module: GradedModule, q, seed: int = 0,
                     budget: int = 24) -> EquivalenceReport:
     """The main equivalence: the sectional genus meets its torsion bound
@@ -1070,9 +1101,8 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
             "parameter multiples meet no finite section", "pass"))
         duals = dual_sections(module)
         for i in range(1, d - 2):
-            ann = duals[i].module.annihilator()
-            missing = [str(g) for g in seq.gens
-                       if not ann.contains(poly_in_position(ann.ambient, g, 0))]
+            missing = [str(g) for g in
+                       _not_annihilating(seq.gens, duals[i].module)]
             if missing:
                 raise CrossCheckFailure(
                     f"the ideal does not annihilate the dual at {i}: "

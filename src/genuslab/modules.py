@@ -9,7 +9,11 @@ lazily through `_memo`, on the algebra or module it belongs to; every value,
 once computed, is immutable.  In particular every submodule N + Q^k F, the
 filtration that the length tables, the colon tests and the quotients M/QM
 are read off, is built by one method, `GradedModule.power_submodule`, and
-kept on its module.
+kept on its module.  A submodule is its reduced basis (SubmoduleBasis).
+The kernels here, the colon, intersection and annihilator, are built where
+a caller needs their elements and otherwise only under --verify-gb: what is
+only measured or compared is read off Hilbert series (`colon_series`), and
+annihilation is tested by membership.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ from .errors import (CrossCheckFailure, DependentRows, IncompleteBasis,
 from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
                        debug_verification_enabled, groebner_basis,
                        hilbert_series, kernel_of_map, quotient_dimension,
-                       quotient_hilbert_function, quotient_total_length,
-                       series_dimension, series_length)
+                       quotient_total_length, series_dimension,
+                       series_length)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -57,18 +61,15 @@ class GradedAlgebra(_Memoized):
 
     def ideal_basis(self, polys, times_m: bool = False) -> SubmoduleBasis:
         """Basis of the ideal (polys) + I of the polynomial ring, or of
-        m·(polys) + I when times_m, memoized under the nonzero polys.  It
-        keeps only the reduced basis, which generates the ideal too, so a
-        memoized m·Q does not hold on to its products."""
+        m·(polys) + I when times_m, memoized under the nonzero polys."""
         polys = [f for f in polys if f]
 
         def build():
             F = FreeModule(self.ring, (0,))
             gens = ([v * f for v in self.variables() for f in polys]
                     if times_m else polys)
-            gb = groebner_basis(F, [poly_in_position(F, f, 0)
-                                    for f in gens + list(self.ideal_gens)]).gb
-            return SubmoduleBasis(F, gb, gb)
+            return groebner_basis(F, [poly_in_position(F, f, 0)
+                                      for f in gens + list(self.ideal_gens)])
         return self._memo(("ideal", frozenset(polys), times_m), build)
 
     def dimension(self):
@@ -145,9 +146,6 @@ class GradedModule(_Memoized):
         if d > 0:
             raise InfiniteLength(f"quotient has dimension {d}")
         return e
-
-    def hilbert_function(self, t: int) -> int:
-        return quotient_hilbert_function(self.relations, t)
 
     def minimal_generator_count(self) -> int:
         return self._memo("mu", lambda: quotient_total_length(
@@ -267,8 +265,8 @@ class GradedModule(_Memoized):
                         _checked=True))
             ker = kernel_of_map([col], [0], target, relations=rels)
             F1 = FreeModule(ring, (0,))
-            gens = [FreeElement(F1, dict(g.terms), _checked=True) for g in ker.gb]
-            return SubmoduleBasis(F1, gens, gens)
+            return SubmoduleBasis(F1, [
+                FreeElement(F1, dict(g.terms), _checked=True) for g in ker.gb])
         return self._memo("ann", build)
 
     # -- derived modules ------------------------------------------------------
@@ -298,7 +296,7 @@ class GradedModule(_Memoized):
                               _checked=True)
                   for g in other.relations.gb]
         elems.sort(key=lambda g: F.term_key(g.lead_term()[0]))
-        basis = SubmoduleBasis(F, elems, elems)
+        basis = SubmoduleBasis(F, elems)
         return GradedModule(self.algebra, twists, basis, relations_complete=True)
 
     def __repr__(self):
@@ -377,7 +375,7 @@ def submodule_colon(n: SubmoduleBasis, f) -> SubmoduleBasis:
                 _checked=True))
     ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
     out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
-    return SubmoduleBasis(ambient, out, out)
+    return SubmoduleBasis(ambient, out)
 
 
 def colon_series(n: SubmoduleBasis, f: Polynomial, within=None,
@@ -424,7 +422,7 @@ def submodule_intersect(n1: SubmoduleBasis, n2: SubmoduleBasis) -> SubmoduleBasi
                          _checked=True) for g in n2.gb]
     ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
     out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
-    return SubmoduleBasis(ambient, out, out)
+    return SubmoduleBasis(ambient, out)
 
 
 def ideal_power(algebra: GradedAlgebra, polys, n: int) -> SubmoduleBasis:

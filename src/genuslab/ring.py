@@ -101,17 +101,8 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
-    # scalar arithmetic in Z/p
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.prime
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.prime
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.prime
-
     def inv(self, a: int) -> int:
+        """The inverse of a in Z/p."""
         a %= self.prime
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Z/%d" % self.prime)
@@ -479,9 +470,6 @@ class FreeElement:
                           {e: c for (q, e), c in self.terms.items() if q == pos},
                           _checked=True)
 
-    def components(self) -> list:
-        return [self.component(i) for i in range(self.ambient.rank)]
-
     def __str__(self):
         if not self.terms:
             return "(0)"
@@ -489,18 +477,6 @@ class FreeElement:
                                for i in range(self.ambient.rank)) + ")"
 
     __repr__ = __str__
-
-
-def element_from_components(ambient: FreeModule, polys) -> FreeElement:
-    """Build an element from one polynomial per position; degrees must agree
-    after twisting."""
-    terms = {}
-    for pos, f in enumerate(polys):
-        if f is None or f.is_zero:
-            continue
-        for e, c in f.terms.items():
-            terms[(pos, e)] = c
-    return FreeElement(ambient, terms)
 
 
 def poly_times_element(f: Polynomial, v: FreeElement) -> FreeElement:

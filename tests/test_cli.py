@@ -1,5 +1,7 @@
 """Shell behavior: report content, determinism, exit codes, formats."""
 
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -422,3 +424,31 @@ def test_import_does_not_load_numpy(tmp_path):
                           text=True, cwd=tmp_path, env=_child_env(),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_engine_does_not_import_the_oracle(tmp_path):
+    # the dense oracle is the tests' second opinion, not part of the engine
+    code = ("import sys\n"
+            "import genuslab.cli, genuslab.invariants\n"
+            "assert 'genuslab.oracle' not in sys.modules, 'oracle imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_benchmark_span_resolves():
+    # the benchmark wraps engine entry points by name; a name it binds must
+    # stay, as a module attribute or an entry of its class's __dict__
+    path = SESSIONS.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANS
+    for _, mod_name, attr in spans.SPANS:
+        module = importlib.import_module(mod_name)
+        owner_name, _, fn_name = attr.rpartition(".")
+        if owner_name:
+            assert fn_name in vars(getattr(module, owner_name)), attr
+        else:
+            assert callable(getattr(module, fn_name, None)), attr

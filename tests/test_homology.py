@@ -1,4 +1,6 @@
 """Homological layer: resolutions, duals, depth, Koszul homology."""
+import random
+
 import pytest
 
 from genuslab import groebner, homology, modules, oracle
@@ -6,17 +8,17 @@ from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import CrossCheckFailure, ZeroModule
 from genuslab.groebner import (SubmoduleBasis, groebner_basis, kernel_of_map,
                                syzygies)
-from genuslab.homology import (FreeComplex, betti_numbers, depth,
-                               dual_sections, ext_module, free_resolution,
-                               koszul_complex, koszul_homology_lengths,
-                               minimal_generators, minimal_presentation,
-                               projective_dimension,
-                               verify_resolution_exactness)
+from genuslab.homology import (FreeComplex, depth, dual_sections,
+                               ext_module, free_resolution, koszul_complex,
+                               koszul_homology_lengths, minimal_generators,
+                               minimal_presentation, projective_dimension)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               echelon_insert, present_subquotient,
                               submodule_colon, zero_module)
-from genuslab.ring import (FreeElement, FreeModule, PolyRing,
+from genuslab.ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                            poly_in_position, poly_times_element)
+
+from reference import verify_resolution_exactness
 
 
 def algebra(names, relations=(), p=32003):
@@ -46,7 +48,7 @@ def test_resolution_of_residue_field_two_vars():
 def test_resolution_of_residue_field_three_vars():
     A, _ = algebra("xyz")
     k = residue_field(A)
-    assert betti_numbers(k) == (1, 3, 3, 1)
+    assert free_resolution(k).betti_numbers() == (1, 3, 3, 1)
     verify_resolution_exactness(free_resolution(k), 6)
 
 
@@ -64,7 +66,7 @@ def test_resolution_prunes_redundant_generators():
     F = FreeModule(A.ring, (0, 0))
     e0, e1 = F.generator(0), F.generator(1)
     M = GradedModule(A, (0, 0), [e0 - e1])
-    assert betti_numbers(M) == (1,)
+    assert free_resolution(M).betti_numbers() == (1,)
     assert depth(M) == 2
 
 
@@ -90,8 +92,7 @@ def test_minimal_presentation_ignores_term_insertion_order():
     for order in (((0, one), (1, one)), ((1, one), (0, one))):
         unit = FreeElement(F, {t: 1 for t in order})
         assert list(unit.terms) == list(order)
-        M = GradedModule(A, (0, 0, 0), SubmoduleBasis(F, (unit, other),
-                                                      (unit, other)),
+        M = GradedModule(A, (0, 0, 0), SubmoduleBasis(F, (unit, other)),
                          relations_complete=True)
         mp = minimal_presentation(M)
         assert mp.twists == (0, 0)
@@ -133,20 +134,39 @@ def _random_relations(seed):
     return module.relations
 
 
-def _binomial_relations():
-    # a reduced basis of 6 elements over 3 minimal generators; its two
-    # degree-3 elements have nonzero but proportional normal forms modulo mN,
-    # so only the first of them is picked
+def _binomial_module():
+    # its relations are a reduced basis of 6 elements over 3 minimal
+    # generators; the two degree-3 elements have nonzero but proportional
+    # normal forms modulo mN, so only the first of them is picked
     A, (x, y, z) = algebra("xyz")
     return A.cyclic_module().quotient_by_ideal(
-        [x * y - y * z, x * x + y * z, x * y * y + z ** 3]).relations
+        [x * y - y * z, x * x + y * z, x * y * y + z ** 3])
+
+
+def _binomial_relations():
+    return _binomial_module().relations
+
+
+def _seeded_binomial_module(seed):
+    # k[x,y,z] modulo three or four random homogeneous binomials of degree
+    # 2 or 3
+    rng = random.Random(seed)
+    A, _ = algebra("xyz")
+    ring = A.ring
+    binomials = []
+    for _ in range(rng.choice((3, 4))):
+        first, second = rng.sample(
+            list(ring.monomials_of_degree(rng.choice((2, 2, 3)))), 2)
+        binomials.append(Polynomial(ring, {
+            first: 1, second: rng.randrange(1, ring.prime)}))
+    return A.cyclic_module().quotient_by_ideal(binomials)
 
 
 def _syzygies_of(build):
     # the syzygies of a reduced basis used as generators, so the syzygy
     # module carries redundant S-pair syzygies
     basis = build()
-    return syzygies(groebner_basis(basis.ambient, basis.gb))
+    return syzygies(basis.ambient, basis.gb)
 
 
 @pytest.mark.parametrize("build", [
@@ -176,7 +196,8 @@ def test_minimal_generators_against_the_oracle(build):
 
 def test_example44_41_betti_numbers():
     _, seq = build_example44(4, 1)
-    assert betti_numbers(seq.module) == (1, 16, 48, 68, 56, 28, 8, 1)
+    assert (free_resolution(seq.module).betti_numbers()
+            == (1, 16, 48, 68, 56, 28, 8, 1))
 
 
 def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
@@ -194,6 +215,41 @@ def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
     monkeypatch.setattr(homology, "BuchbergerState", NoPicks)
     with pytest.raises(CrossCheckFailure):
         minimal_generators(basis)
+
+
+# -- exactness -----------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    _binomial_module, _unequal_twist_module,
+    *[(lambda s=s: _seeded_binomial_module(s)) for s in range(6)],
+], ids=["binomial", "unequal-twist-sum",
+        *[f"seeded-binomial{s}" for s in range(6)]])
+def test_resolution_exact_by_the_dense_verifier(build):
+    # non-monomial relations: the dense degreewise check one degree past
+    # every twist of the resolution
+    res = free_resolution(build())
+    top = max(t for spot in res.spots for t in spot.twists)
+    verify_resolution_exactness(res, top + 1)
+
+
+def test_resolution_checks_the_euler_characteristic(monkeypatch):
+    # one pick dropped: d∘d = 0 still holds on the shorter complex, but its
+    # graded Euler characteristic no longer matches the Hilbert series
+    A, _ = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    assert free_resolution(A.cyclic_module()).betti_numbers() == (1, 2, 1)
+    picks = homology.minimal_generators
+    dropped = []
+
+    def drop_one(basis):
+        got = picks(basis)
+        if got and not dropped:
+            dropped.append(got.pop())
+        return got
+
+    monkeypatch.setattr(homology, "minimal_generators", drop_one)
+    with pytest.raises(CrossCheckFailure, match="Euler characteristic"):
+        free_resolution(A.cyclic_module())
+    assert dropped
 
 
 # -- differential: the decisions against the routines they replaced ----------

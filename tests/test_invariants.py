@@ -13,11 +13,13 @@ from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              InfiniteLength, NoStabilization,
                              NotFoundWithinBudget, NotGeneralizedCM,
                              PreconditionViolation)
-from genuslab.groebner import quotient_total_length, set_debug_verification
+from genuslab.groebner import (NEG_INF, SubmoduleBasis, hilbert_series,
+                               quotient_total_length, set_debug_verification)
 from genuslab.homology import dual_sections
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  _graded_engine, _graded_superficial,
-                                 _windowed_superficial, check_prop38,
+                                 _not_annihilating, _windowed_superficial,
+                                 check_prop38,
                                  check_theorem34, euler_chi1,
                                  find_d_sequence_generators, hdeg,
                                  hilbert_coefficients, hilbert_samuel_table,
@@ -26,10 +28,10 @@ from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  module_coefficients, sectional_genus,
                                  sv_invariant, torsion)
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
-                              ideal_power, submodule_colon,
-                              submodule_intersect)
+                              ideal_power, present_subquotient,
+                              submodule_colon, submodule_intersect)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, binomial,
-                           poly_times_element)
+                           poly_in_position, poly_times_element)
 
 
 def algebra(names, relations=(), p=32003):
@@ -475,8 +477,7 @@ def test_superficiality_against_the_window():
         module, seq = random_instance(seed)
         for a in seq.gens:
             exact = _graded_superficial(a, module, seq.gens)
-            window, _ = _windowed_superficial(a, module, seq.gens,
-                                              _annihilator(a, module))
+            window, _ = _windowed_superficial(a, module, seq.gens)
             if window != "inconclusive":
                 assert exact == (window == "verified"), (seed, str(a))
                 compared += 1
@@ -488,7 +489,7 @@ def test_nonzerodivisor_that_is_not_superficial():
     rep = is_superficial(x, M, (x, y))
     assert rep.status == "refuted"
     assert "filter-regular" in rep.witness
-    assert _annihilator(x, M).total_length() == 0
+    assert _annihilator(x, M) == (NEG_INF, 0)
     # by the definition: y^n e2 lies in Q^n M and x·y^n e2 = y^{n+2} e1 in
     # Q^{n+2} M, but y^n e2 is not in Q^{n+1} M, for every n
     level = lambda k: M.submodule_with(M.ideal_multiples(
@@ -501,8 +502,7 @@ def test_nonzerodivisor_that_is_not_superficial():
     # and the second coefficient moves across x although nothing is killed
     assert (module_coefficients(M, (x, y)).e[1]
             != module_coefficients(M.quotient_by_ideal([x]), (x, y)).e[1])
-    assert _windowed_superficial(x, M, (x, y), _annihilator(x, M),
-                                 c_max=6)[0] == "inconclusive"
+    assert _windowed_superficial(x, M, (x, y), c_max=6)[0] == "inconclusive"
     assert is_superficial(y, M, (x, y)).status == "verified"
 
 
@@ -511,10 +511,8 @@ def test_wider_window_confirms_random_38():
     # c = 6 verifies both, as the exact test does
     module, seq = random_instance(38)
     for a in seq.gens:
-        killed = _annihilator(a, module)
-        assert _windowed_superficial(a, module, seq.gens, killed)[0] \
-            == "inconclusive"
-        assert _windowed_superficial(a, module, seq.gens, killed,
+        assert _windowed_superficial(a, module, seq.gens)[0] == "inconclusive"
+        assert _windowed_superficial(a, module, seq.gens,
                                      c_max=6)[0] == "verified"
         assert is_superficial(a, module, seq.gens).status == "verified"
 
@@ -577,8 +575,7 @@ def test_weighted_superficiality_against_the_window():
             assert _graded_engine(module, gens).weight == power
             for a in gens:
                 weighted = _graded_superficial(a, module, gens)
-                window, _ = _windowed_superficial(a, module, gens,
-                                                  _annihilator(a, module))
+                window, _ = _windowed_superficial(a, module, gens)
                 if window != "inconclusive":
                     assert not weighted or window == "verified", \
                         (seed, power, str(a))
@@ -599,10 +596,18 @@ def test_verify_gb_cross_checks_the_weighted_test(monkeypatch, line_with_spike):
         set_debug_verification(False)
 
 
-def _colon_window(a, module, qgens, killed, c_max=3, window=2):
+def _presented_annihilator(a, module):
+    # (0 :_M a) as the colon (N : a), presented over N: two elimination
+    # kernels, the form that the series difference replaced: its oracle
+    colon = submodule_colon(module.relations, a)
+    return present_subquotient(module.algebra, list(colon.gb),
+                               module.relations, module.ambient)
+
+
+def _colon_window(a, module, qgens, c_max=3, window=2):
     # the colon window decided by a colon and an intersection at every
     # (c, n), the form that the Hilbert-series window replaced: its oracle
-    if killed.dimension() > 0:
+    if _presented_annihilator(a, module).dimension() > 0:
         return "refuted", None
     level = lambda k: module.power_submodule(qgens, k)
     for c in range(1, c_max + 1):
@@ -623,9 +628,8 @@ def test_series_window_matches_the_colon_window(seed):
         systems.append((g[0] ** 2, g[1] ** 2) + g[2:])
     for gens in systems:
         for a in gens:
-            killed = _annihilator(a, module)
-            assert _windowed_superficial(a, module, gens, killed) \
-                == _colon_window(a, module, gens, killed), \
+            assert _windowed_superficial(a, module, gens) \
+                == _colon_window(a, module, gens), \
                 ([str(q) for q in gens], str(a))
 
 
@@ -633,12 +637,10 @@ def test_series_window_covers_every_outcome():
     # the draws above reach a start of 2 and an inconclusive window
     module, seq = random_instance(0)
     a = seq.gens[0]
-    assert _windowed_superficial(a, module, seq.gens,
-                                 _annihilator(a, module)) == ("verified", 2)
+    assert _windowed_superficial(a, module, seq.gens) == ("verified", 2)
     module, seq = random_instance(7)
     gens = (seq.gens[0] ** 2,) + seq.gens[1:]
-    assert _windowed_superficial(gens[0], module, gens,
-                                 _annihilator(gens[0], module)) \
+    assert _windowed_superficial(gens[0], module, gens) \
         == ("inconclusive", None)
 
 
@@ -647,14 +649,80 @@ def test_verify_gb_catches_a_wrong_window_series(monkeypatch):
     # verifies an element the colons leave inconclusive, and --verify-gb
     # says so
     M, x, y = _skew_twist_module()
-    killed = _annihilator(x, M)
-    assert _windowed_superficial(x, M, (x, y), killed)[0] == "inconclusive"
+    assert _windowed_superficial(x, M, (x, y))[0] == "inconclusive"
     monkeypatch.setattr(invariants, "combine_series", lambda *parts: {})
-    assert _windowed_superficial(x, M, (x, y), killed) == ("verified", 1)
+    assert _windowed_superficial(x, M, (x, y)) == ("verified", 1)
     set_debug_verification(True)
     try:
         with pytest.raises(CrossCheckFailure, match="_windowed_superficial"):
-            _windowed_superficial(x, M, (x, y), killed)
+            _windowed_superficial(x, M, (x, y))
+    finally:
+        set_debug_verification(False)
+
+
+# -- annihilators -------------------------------------------------------------
+
+def test_annihilator_series_matches_the_presented_colon():
+    # (dimension, multiplicity) of (0 :_M a) read off the series, against
+    # the presented colon, for every generator of every draw and, for
+    # annihilators of positive dimension, every variable
+    outcomes = set()
+    for seed in range(40):
+        module, seq = random_instance(seed)
+        for a in seq.gens + tuple(module.algebra.variables()):
+            presented = _presented_annihilator(a, module)
+            got = _annihilator(a, module)
+            assert got == (presented.dimension(), presented.degree()), \
+                (seed, str(a))
+            outcomes.add("positive" if got[0] > 0 else got[1] > 0)
+    assert outcomes == {"positive", True, False}
+
+
+def test_annihilation_by_membership_matches_the_annihilator():
+    # on every Ext dual of every draw: the generators that act nonzero, by
+    # membership of g·e_j, against membership in the built annihilator
+    outcomes = []
+    for seed in range(40):
+        module, seq = random_instance(seed)
+        for ds in dual_sections(module):
+            ann = ds.module.annihilator()
+            want = [g for g in seq.gens
+                    if not ann.contains(poly_in_position(ann.ambient, g, 0))]
+            got = _not_annihilating(seq.gens, ds.module)
+            assert got == want, (seed, ds.index)
+            outcomes.append(bool(got))
+    assert True in outcomes and False in outcomes
+
+
+def test_verify_gb_catches_a_wrong_annihilator_series(monkeypatch):
+    # a colon series that calls y regular on k[x,y]/(x², xy), where
+    # (0 : y) is spanned by x: the series says the zero module
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    assert _annihilator(y, A.cyclic_module()) == (0, 1)
+    monkeypatch.setattr(invariants, "colon_series",
+                        lambda n, f: hilbert_series(n))
+    assert _annihilator(y, A.cyclic_module()) == (NEG_INF, 0)
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="_annihilator"):
+            _annihilator(y, A.cyclic_module())
+    finally:
+        set_debug_verification(False)
+
+
+def test_verify_gb_catches_a_wrong_annihilation_test(monkeypatch):
+    # membership that holds for everything: y then seems to kill
+    # k[x,y]/(x², xy), which the built annihilator (x², xy) refutes
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    M = A.cyclic_module()
+    assert _not_annihilating([x * x, y], M) == [y]
+    monkeypatch.setattr(SubmoduleBasis, "contains_all",
+                        lambda self, others: True)
+    assert _not_annihilating([x * x, y], M) == []
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="_not_annihilating"):
+            _not_annihilating([x * x, y], M)
     finally:
         set_debug_verification(False)
 
