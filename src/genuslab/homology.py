@@ -27,7 +27,7 @@ from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
                        combine_series, debug_verification_enabled,
                        groebner_basis, hilbert_series, kernel_of_map,
                        series_length)
-from .modules import GradedModule, present_subquotient, zero_module
+from .modules import GradedModule, embed, present_subquotient, zero_module
 from .ring import FreeElement, FreeModule, poly_times_element
 
 
@@ -190,15 +190,11 @@ def _transpose(cols, dual_domain: FreeModule):
     """Columns of the dual map.  cols define F -> G by generator images in
     G; the result defines G* -> F*, one column per generator of G, each an
     element of F* (dual_domain)."""
-    out = []
-    g_rank = cols[0].ambient.rank if cols else 0
-    for b in range(g_rank):
-        terms = {}
-        for s, col in enumerate(cols):
-            for e, c in col.component(b).terms.items():
-                terms[(s, e)] = c
-        out.append(FreeElement(dual_domain, terms))
-    return out
+    buckets = [{} for _ in range(cols[0].ambient.rank if cols else 0)]
+    for s, col in enumerate(cols):
+        for (b, e), c in col.terms.items():
+            buckets[b][(s, e)] = c
+    return [FreeElement(dual_domain, terms) for terms in buckets]
 
 
 def ext_module(module: GradedModule, i: int) -> GradedModule:
@@ -357,14 +353,8 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
     relation_series = hilbert_series(m.relations)
 
     def blocks(spot: FreeModule):
-        nblocks = spot.rank // r if r else 0
-        out = []
-        for blk in range(nblocks):
-            for g in n_gb:
-                out.append(FreeElement(
-                    spot, {(blk * r + pos, e): c for (pos, e), c in g.terms.items()},
-                    _checked=True))
-        return out
+        return [embed(g, spot, blk * r)
+                for blk in range(spot.rank // r if r else 0) for g in n_gb]
 
     lengths = []
     below = None  # HS(F_(i-1)/B_(i-1))

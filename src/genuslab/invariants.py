@@ -33,13 +33,15 @@ sum, by additivity along a short exact sequence.  For f of degree δ,
 0 -> (F/(N : f))(-δ) -> F/N -> F/(N + fF) -> 0 gives
 HS(F/(N : f)) = t^-δ·(HS(F/N) - HS(F/(N + fF))) (`colon_series`), and
 0 -> F/(A ∩ B) -> F/A ⊕ F/B -> F/(A + B) -> 0 gives the intersection.  The
-steps of the colon window, the d-sequence colon test, the filter-regularity
-test, the annihilator (0 :_M a) of a superficiality test, the Prop 3.8
-colon defect and the Thm 3.4 intersection all compare or measure such
-series; for a submodule that contains another, equal series mean equal
-submodules.  Thm 3.4's duals are tested for annihilation by membership
-(`_not_annihilating`).  Under --verify-gb each of them is also built as a
-kernel and must agree.
+steps of the colon window, the d-sequence colon test and the Thm 3.4
+intersection compare such series; for a submodule that contains another,
+equal series mean equal submodules.  The three measured colon quotients
+(N : f)/N, the annihilator (0 :_M a) of a superficiality test, the
+filter-regularity test and the Prop 3.8 colon defect, all come from
+`colon_quotient_series`.  Thm 3.4's duals are tested for annihilation by
+membership (`_not_annihilating`).  Under --verify-gb each of them is also
+built as a kernel and must agree, and each colon quotient must match its
+presented colon in the whole Hilbert series.
 """
 from __future__ import annotations
 
@@ -56,7 +58,8 @@ from .groebner import (NEG_INF, combine_series, debug_verification_enabled,
                        quotient_total_length, series_dimension, series_length)
 from .homology import dual_sections, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
-                      colon_series, complete_to_invertible, echelon_insert,
+                      colon_quotient_series, colon_series,
+                      complete_to_invertible, echelon_insert,
                       invert_matrix, linear_coefficients, power_of_linear_form,
                       present_subquotient, submodule_colon,
                       submodule_intersect, substitute_element,
@@ -522,28 +525,14 @@ class SuperficialityReport:
 
 def _annihilator(a, module: GradedModule):
     """(d, e) for (0 :_M a) = (N : a)/N: its Krull dimension and the
-    multiplicity of its Hilbert series, the length when d <= 0.  By
-    additivity HS((N : a)/N) = HS(F/N) - HS(F/(N : a)), which colon_series
-    reads off one basis of N + aF.  Memoized on the module per element and
-    --verify-gb state; under --verify-gb the colon is also built and
-    presented, and the two must agree."""
-    def build():
-        got = series_dimension(combine_series(
-            (1, 0, hilbert_series(module.relations)),
-            (-1, 0, colon_series(module.relations, a))),
-            module.algebra.ring.nvars)
-        if debug_verification_enabled():
-            colon = submodule_colon(module.relations, a)
-            presented = present_subquotient(module.algebra, list(colon.gb),
-                                            module.relations, module.ambient)
-            built = (presented.dimension(), presented.degree())
-            if built != got:
-                raise CrossCheckFailure(
-                    f"_annihilator: (dimension, multiplicity) {got} from the "
-                    f"series, {built} from the presented colon")
-        return got
-    return module._memo(("annihilator", a, debug_verification_enabled()),
-                        build)
+    multiplicity of its Hilbert series, the length when d <= 0, read off
+    colon_quotient_series with the module's memoized basis of N + aF.
+    Memoized on the module per element and --verify-gb state."""
+    return module._memo(
+        ("annihilator", a, debug_verification_enabled()),
+        lambda: series_dimension(colon_quotient_series(
+            module.relations, a, extended=module.power_submodule([a])),
+            module.algebra.ring.nvars))
 
 
 def _windowed_superficial(a, module: GradedModule, qgens, c_max=3, window=2):
@@ -651,10 +640,8 @@ def _tangent_ideal(module: GradedModule, gens):
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
     """Whether the weight-D form a*_W of a is filter-regular on
     G_W = gr_W(M) = F/N*_W, that is, whether (0 :_G a*_W) = (N*_W : a*_W)/N*_W
-    has finite length.  Its Hilbert series is that of F/N*_W minus that of
-    F/(N*_W : a*_W), which colon_series reads off one basis of
-    N*_W + a*_W·F, and it has finite length exactly when that series has
-    no pole at t = 1.
+    has finite length, that is, whether its colon_quotient_series has no
+    pole at t = 1.
 
     Then a is superficial for Q: if v has W-order j, with c <= j < w, and
     av lies in F_(w+D)M, then a*_W·v* = 0, which cannot happen once c passes
@@ -680,14 +667,8 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
         return False
     star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
                                   if weights[e] == eng.weight}, _checked=True)
-    initial = _initial_module(module, gens)
-    quotient = colon_series(initial, star)
-    if (debug_verification_enabled() and quotient
-            != hilbert_series(submodule_colon(initial, star))):
-        raise CrossCheckFailure(
-            "_graded_superficial: the colon series and the colon disagree")
-    diff = combine_series((1, 0, hilbert_series(initial)), (-1, 0, quotient))
-    return series_dimension(diff, module.algebra.ring.nvars)[0] <= 0
+    killed = colon_quotient_series(_initial_module(module, gens), star)
+    return series_dimension(killed, module.algebra.ring.nvars)[0] <= 0
 
 
 def _superficial_status(a, module: GradedModule, gens):
@@ -955,22 +936,11 @@ def check_prop38(module: GradedModule, seq) -> DSequenceCoefficientReport:
     e = c.e
     checks = []
     if d >= 1:
-        # ℓ((P : a_d)/P) for P = N + (a_1..a_(d-1))F, off the series of
-        # F/P and F/(P : a_d); P + a_d·F is the memoized quotient basis
-        prev = module.power_submodule(seq.prefix(d - 1))
-        extra = series_length(combine_series(
-            (1, 0, hilbert_series(prev)),
-            (-1, 0, colon_series(prev, seq.gens[d - 1],
-                                 extended=seq.quotient_basis))),
-            module.algebra.ring.nvars)
-        if debug_verification_enabled():
-            colon = submodule_colon(prev, seq.gens[d - 1])
-            if extra != present_subquotient(
-                    module.algebra, list(colon.gb), prev,
-                    module.ambient).total_length():
-                raise CrossCheckFailure(
-                    "check_prop38: the colon defect from the series and "
-                    "from the colon disagree")
+        # ℓ((P : a_d)/P) for P = N + (a_1..a_(d-1))F; P + a_d·F is the
+        # memoized quotient basis
+        extra = series_length(colon_quotient_series(
+            module.power_submodule(seq.prefix(d - 1)), seq.gens[d - 1],
+            extended=seq.quotient_basis), module.algebra.ring.nvars)
         got = seq.covolume() - extra
         checks.append(CheckResult(
             "leading coefficient from the top colon",

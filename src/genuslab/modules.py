@@ -10,9 +10,13 @@ once computed, is immutable.  In particular every submodule N + Q^k F, the
 filtration that the length tables, the colon tests and the quotients M/QM
 are read off, is built by one method, `GradedModule.power_submodule`, and
 kept on its module.  A submodule is its reduced basis (SubmoduleBasis).
-The kernels here, the colon, intersection and annihilator, are built where
-a caller needs their elements and otherwise only under --verify-gb: what is
-only measured or compared is read off Hilbert series (`colon_series`), and
+The kernels here, the colon, intersection and annihilator, are one
+construction, `stacked_kernel`: the kernel of a map into a direct sum of
+shifted quotients F/N_b.  They are built where a caller needs their
+elements and otherwise only under --verify-gb: what is only measured or
+compared is read off Hilbert series (`colon_series`, and
+`colon_quotient_series` for the quotients (N : f)/N, which under
+--verify-gb presents the built colon and compares the whole series), and
 annihilation is tested by membership.
 """
 from __future__ import annotations
@@ -241,33 +245,12 @@ class GradedModule(_Memoized):
         return self._memo("h0len", build)
 
     def annihilator(self) -> SubmoduleBasis:
-        """{f in S : f·M = 0}, as a rank-1 basis."""
-        def build():
-            ring = self.algebra.ring
-            r = self.rank
-            if r == 0:
-                F1 = FreeModule(ring, (0,))
-                return groebner_basis(F1, [poly_in_position(F1, ring.constant(1), 0)])
-            block_twists = []
-            for j in range(r):
-                block_twists.extend(t - self.twists[j] for t in self.twists)
-            target = FreeModule(ring, tuple(block_twists))
-            terms = {}
-            for j in range(r):
-                terms[(j * r + j, ring.zero_exps())] = 1
-            col = FreeElement(target, terms)
-            rels = []
-            for j in range(r):
-                for g in self.relations.gb:
-                    rels.append(FreeElement(
-                        target,
-                        {(j * r + pos, e): c for (pos, e), c in g.terms.items()},
-                        _checked=True))
-            ker = kernel_of_map([col], [0], target, relations=rels)
-            F1 = FreeModule(ring, (0,))
-            return SubmoduleBasis(F1, [
-                FreeElement(F1, dict(g.terms), _checked=True) for g in ker.gb])
-        return self._memo("ann", build)
+        """{f in S : f·M = 0}, as a rank-1 basis: the kernel of
+        S -> ⊕_j (F/N)(twist_j) sending 1 to every generator e_j."""
+        return self._memo("ann", lambda: stacked_kernel(
+            [(self.relations, t) for t in self.twists],
+            [[self.ambient.generator(j) for j in range(self.rank)]],
+            FreeModule(self.algebra.ring, (0,))))
 
     # -- derived modules ------------------------------------------------------
 
@@ -289,12 +272,8 @@ class GradedModule(_Memoized):
             raise ValueError("direct sum needs a common algebra")
         twists = self.twists + other.twists
         F = FreeModule(self.algebra.ring, twists)
-        r = self.rank
-        elems = [FreeElement(F, dict(g.terms), _checked=True)
-                 for g in self.relations.gb]
-        elems += [FreeElement(F, {(pos + r, e): c for (pos, e), c in g.terms.items()},
-                              _checked=True)
-                  for g in other.relations.gb]
+        elems = ([embed(g, F, 0) for g in self.relations.gb]
+                 + [embed(g, F, self.rank) for g in other.relations.gb])
         elems.sort(key=lambda g: F.term_key(g.lead_term()[0]))
         basis = SubmoduleBasis(F, elems)
         return GradedModule(self.algebra, twists, basis, relations_complete=True)
@@ -346,36 +325,45 @@ def present_subquotient(algebra: GradedAlgebra, gens, bottom: SubmoduleBasis,
 
 # -- submodule operations -----------------------------------------------------
 
-def submodule_colon(n: SubmoduleBasis, f) -> SubmoduleBasis:
-    """{v in ambient : g·v in n for every g in f}; f a polynomial or a list."""
-    polys = [g for g in _as_poly_list(f) if g]
-    ambient = n.ambient
-    ring = ambient.ring
-    if not polys:
-        # colon by the zero ideal is everything
-        full = [ambient.generator(i) for i in range(ambient.rank)]
-        return groebner_basis(ambient, full)
-    r = ambient.rank
-    block_twists = []
-    for g in polys:
-        block_twists.extend(t - g.degree for t in ambient.twists)
-    target = FreeModule(ring, tuple(block_twists))
-    cols = []
-    for i in range(r):
+def embed(v: FreeElement, target: FreeModule, offset: int) -> FreeElement:
+    """v as an element of target, every position moved up by offset: the
+    inclusion of a free module as one block of a direct sum."""
+    return FreeElement(target, {(pos + offset, e): c
+                                for (pos, e), c in v.terms.items()},
+                       _checked=True)
+
+
+def stacked_kernel(blocks, cols, ambient: FreeModule) -> SubmoduleBasis:
+    """Kernel of the map ambient -> ⊕_b (F/N_b)(s_b) for blocks [(N_b, s_b)],
+    every N_b a submodule of one free F of rank r, sending the i-th
+    generator to cols[i]: one element of F per block (zero allowed).  Block
+    b takes the positions b·r .. b·r + r - 1, with the twists of F lowered
+    by s_b, and carries a copy of N_b's basis (Eisenbud, Commutative
+    Algebra, 15.10).  With no blocks the kernel is everything."""
+    r = blocks[0][0].ambient.rank if blocks else 0
+    target = FreeModule(ambient.ring, tuple(
+        t - s for n, s in blocks for t in n.ambient.twists))
+    images = []
+    for col in cols:
         terms = {}
-        for j, g in enumerate(polys):
-            for e, c in g.terms.items():
-                terms[(j * r + i, e)] = c
-        cols.append(FreeElement(target, terms))
-    rels = []
-    for j in range(len(polys)):
-        for g in n.gb:
-            rels.append(FreeElement(
-                target, {(j * r + pos, e): c for (pos, e), c in g.terms.items()},
-                _checked=True))
-    ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
-    out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
-    return SubmoduleBasis(ambient, out)
+        for b, v in enumerate(col):
+            terms.update(embed(v, target, b * r).terms)
+        images.append(FreeElement(target, terms, _checked=True))
+    rels = [embed(g, target, b * r) for b, (n, _) in enumerate(blocks)
+            for g in n.gb]
+    ker = kernel_of_map(images, list(ambient.twists), target, relations=rels)
+    return SubmoduleBasis(ambient, [FreeElement(ambient, dict(g.terms),
+                                                _checked=True) for g in ker.gb])
+
+
+def submodule_colon(n: SubmoduleBasis, f) -> SubmoduleBasis:
+    """{v in ambient : g·v in n for every g in f}; f a polynomial or a list:
+    the kernel of F -> ⊕_g (F/n)(deg g), v -> (g·v)_g."""
+    polys = [g for g in _as_poly_list(f) if g]
+    F = n.ambient
+    return stacked_kernel([(n, g.degree) for g in polys],
+                          [[poly_in_position(F, g, i) for g in polys]
+                           for i in range(F.rank)], F)
 
 
 def colon_series(n: SubmoduleBasis, f: Polynomial, within=None,
@@ -406,23 +394,33 @@ def colon_series(n: SubmoduleBasis, f: Polynomial, within=None,
                           (-1, -f.degree, hilbert_series(extended)))
 
 
+def colon_quotient_series(n: SubmoduleBasis, f: Polynomial,
+                          extended: SubmoduleBasis = None) -> dict:
+    """Numerator over (1-t)^nvars of the Hilbert series of (n : f)/n, for a
+    nonzero homogeneous f: HS(F/n) - HS(F/(n : f)) by additivity, the
+    second term from colon_series (`extended` as there).  Under --verify-gb
+    the colon is also built, (n : f)/n presented on its basis, and the
+    whole series must agree."""
+    series = combine_series((1, 0, hilbert_series(n)),
+                            (-1, 0, colon_series(n, f, extended=extended)))
+    if debug_verification_enabled():
+        gens = list(submodule_colon(n, f).gb)
+        built = hilbert_series(kernel_of_map(
+            gens, [g.degree for g in gens], n.ambient, relations=n))
+        if built != series:
+            raise CrossCheckFailure(
+                f"colon_quotient_series: Hilbert series numerator {series} "
+                f"from the sums, {built} from the presented colon")
+    return series
+
+
 def submodule_intersect(n1: SubmoduleBasis, n2: SubmoduleBasis) -> SubmoduleBasis:
+    """n1 ∩ n2: the kernel of F -> F/n1 ⊕ F/n2, v -> (v, v)."""
     if n1.ambient != n2.ambient:
         raise ValueError("intersection needs a common ambient")
-    ambient = n1.ambient
-    ring = ambient.ring
-    r = ambient.rank
-    target = FreeModule(ring, ambient.twists + ambient.twists)
-    cols = []
-    for i in range(r):
-        cols.append(FreeElement(target, {(i, ring.zero_exps()): 1,
-                                         (i + r, ring.zero_exps()): 1}))
-    rels = [FreeElement(target, dict(g.terms), _checked=True) for g in n1.gb]
-    rels += [FreeElement(target, {(pos + r, e): c for (pos, e), c in g.terms.items()},
-                         _checked=True) for g in n2.gb]
-    ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
-    out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
-    return SubmoduleBasis(ambient, out)
+    F = n1.ambient
+    return stacked_kernel([(n1, 0), (n2, 0)],
+                          [[F.generator(i)] * 2 for i in range(F.rank)], F)
 
 
 def ideal_power(algebra: GradedAlgebra, polys, n: int) -> SubmoduleBasis:

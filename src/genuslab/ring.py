@@ -76,14 +76,6 @@ def degrevlex_key(e: Exps):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def degrevlex_cmp(a: Exps, b: Exps) -> int:
-    """-1, 0 or 1 as a <, =, > b in degree-reverse-lexicographic order."""
-    ka, kb = degrevlex_key(a), degrevlex_key(b)
-    if ka < kb:
-        return -1
-    return 1 if ka > kb else 0
-
-
 @dataclass(frozen=True)
 class PolyRing:
     """Polynomial ring k[x_1..x_n] over the prime field Z/p, standard graded."""
@@ -335,10 +327,6 @@ class FreeModule:
                     tuple(-x for x in reversed(e)), -pos)
         block = 1 if pos < self.elim_rank else 0
         return (block, sum(e), tuple(-x for x in reversed(e)), -pos)
-
-    def term_degree(self, t: Term) -> int:
-        pos, e = t
-        return sum(e) + self.twists[pos]
 
     def zero(self) -> "FreeElement":
         return FreeElement(self, {}, _checked=True)

@@ -6,10 +6,15 @@ position, the way hand-written test cases are easiest to state.
 degree by degree, through the oracle's row reduction, it checks that the
 homology vanishes at every positive spot.  The engine checks its own
 resolutions by the graded Euler characteristic instead.
+`reference_colon`, `reference_intersect` and `reference_annihilator` build
+each kernel with its own hand-laid blocks, as the engine did before one
+`stacked_kernel` served all three; the tests require the same reduced
+bases from both.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure
-from genuslab.ring import FreeElement, FreeModule
+from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
+from genuslab.ring import FreeElement, FreeModule, poly_in_position
 
 
 def element_from_components(ambient: FreeModule, polys) -> FreeElement:
@@ -40,3 +45,79 @@ def verify_resolution_exactness(res, degree_bound: int) -> None:
             if full - rank_in != rank_next:
                 raise CrossCheckFailure(
                     f"resolution not exact at spot {i}, degree {t}")
+
+
+def reference_colon(n: SubmoduleBasis, polys) -> SubmoduleBasis:
+    """{v : g·v in n for every g in polys}, one block per polynomial."""
+    polys = [g for g in polys if g]
+    ambient = n.ambient
+    ring = ambient.ring
+    if not polys:
+        full = [ambient.generator(i) for i in range(ambient.rank)]
+        return groebner_basis(ambient, full)
+    r = ambient.rank
+    block_twists = []
+    for g in polys:
+        block_twists.extend(t - g.degree for t in ambient.twists)
+    target = FreeModule(ring, tuple(block_twists))
+    cols = []
+    for i in range(r):
+        terms = {}
+        for j, g in enumerate(polys):
+            for e, c in g.terms.items():
+                terms[(j * r + i, e)] = c
+        cols.append(FreeElement(target, terms))
+    rels = []
+    for j in range(len(polys)):
+        for g in n.gb:
+            rels.append(FreeElement(
+                target, {(j * r + pos, e): c for (pos, e), c in g.terms.items()},
+                _checked=True))
+    ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
+    out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
+    return SubmoduleBasis(ambient, out)
+
+
+def reference_intersect(n1: SubmoduleBasis, n2: SubmoduleBasis) -> SubmoduleBasis:
+    """n1 ∩ n2 from two blocks, v -> (v, v)."""
+    ambient = n1.ambient
+    ring = ambient.ring
+    r = ambient.rank
+    target = FreeModule(ring, ambient.twists + ambient.twists)
+    cols = []
+    for i in range(r):
+        cols.append(FreeElement(target, {(i, ring.zero_exps()): 1,
+                                         (i + r, ring.zero_exps()): 1}))
+    rels = [FreeElement(target, dict(g.terms), _checked=True) for g in n1.gb]
+    rels += [FreeElement(target, {(pos + r, e): c for (pos, e), c in g.terms.items()},
+                         _checked=True) for g in n2.gb]
+    ker = kernel_of_map(cols, list(ambient.twists), target, relations=rels)
+    out = [FreeElement(ambient, dict(g.terms), _checked=True) for g in ker.gb]
+    return SubmoduleBasis(ambient, out)
+
+
+def reference_annihilator(module) -> SubmoduleBasis:
+    """{f : f·M = 0}, one block per generator of M."""
+    ring = module.algebra.ring
+    r = module.rank
+    F1 = FreeModule(ring, (0,))
+    if r == 0:
+        return groebner_basis(F1, [poly_in_position(F1, ring.constant(1), 0)])
+    block_twists = []
+    for j in range(r):
+        block_twists.extend(t - module.twists[j] for t in module.twists)
+    target = FreeModule(ring, tuple(block_twists))
+    terms = {}
+    for j in range(r):
+        terms[(j * r + j, ring.zero_exps())] = 1
+    col = FreeElement(target, terms)
+    rels = []
+    for j in range(r):
+        for g in module.relations.gb:
+            rels.append(FreeElement(
+                target,
+                {(j * r + pos, e): c for (pos, e), c in g.terms.items()},
+                _checked=True))
+    ker = kernel_of_map([col], [0], target, relations=rels)
+    return SubmoduleBasis(F1, [
+        FreeElement(F1, dict(g.terms), _checked=True) for g in ker.gb])

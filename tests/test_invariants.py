@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genuslab import invariants
+from genuslab import invariants, modules
 from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              InfiniteLength, NoStabilization,
@@ -699,13 +699,34 @@ def test_verify_gb_catches_a_wrong_annihilator_series(monkeypatch):
     # (0 : y) is spanned by x: the series says the zero module
     A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
     assert _annihilator(y, A.cyclic_module()) == (0, 1)
-    monkeypatch.setattr(invariants, "colon_series",
-                        lambda n, f: hilbert_series(n))
+    monkeypatch.setattr(modules, "colon_series",
+                        lambda n, f, extended=None: hilbert_series(n))
     assert _annihilator(y, A.cyclic_module()) == (NEG_INF, 0)
     set_debug_verification(True)
     try:
-        with pytest.raises(CrossCheckFailure, match="_annihilator"):
+        with pytest.raises(CrossCheckFailure, match="colon_quotient_series"):
             _annihilator(y, A.cyclic_module())
+    finally:
+        set_debug_verification(False)
+
+
+@pytest.mark.parametrize("site", [
+    lambda M, y: _annihilator(y, M),
+    lambda M, y: _graded_superficial(y, M, (y,)),
+    lambda M, y: check_prop38(M, (y,)),
+], ids=["annihilator", "graded-superficial", "prop38-colon-defect"])
+def test_verify_gb_catches_a_wrong_colon_quotient_series(monkeypatch, site):
+    # a colon series that calls (N : y)/N zero on k[x,y]/(x², xy), where it
+    # is spanned by x: each site that measures that quotient goes on
+    # unchecked, and under --verify-gb the presented colon refutes it
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    monkeypatch.setattr(modules, "colon_series",
+                        lambda n, f, extended=None: hilbert_series(n))
+    site(A.cyclic_module(), y)
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="colon_quotient_series"):
+            site(A.cyclic_module(), y)
     finally:
         set_debug_verification(False)
 

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from genuslab import oracle
-from genuslab.corpus import random_instance
+from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
                              InfiniteLength, NonStandardGrading, NotLinearForm,
                              PreconditionViolation, RaggedMatrix,
                              SingularMatrix, ZeroModule)
 from genuslab.groebner import (NEG_INF, groebner_basis,
                                quotient_hilbert_function)
+from genuslab.homology import dual_sections
 from genuslab.invariants import _engine
 from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               complete_to_invertible, ideal_power,
@@ -21,6 +22,9 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               zero_module)
 from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
                            poly_times_element)
+
+from reference import (reference_annihilator, reference_colon,
+                       reference_intersect)
 
 
 def algebra(names, relations=(), p=32003):
@@ -173,6 +177,47 @@ def test_power_submodule_is_shared():
     assert bar.relations is base
     assert bar is module.quotient_by_ideal(list(reversed(gens)))
     assert ParameterSequence(module, gens).covolume() == bar.total_length()
+
+
+# -- the stacked kernel against the hand-laid blocks --------------------------
+
+def _kernel_case(name):
+    if name.startswith("random"):
+        module, seq = random_instance(int(name[6:]))
+        return module, seq.gens
+    if name.startswith("example42"):
+        _, module, xs = build_example42(int(name[-1]))
+        return module, xs
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    module = A.cyclic_module().direct_sum(
+        A.cyclic_module(2).quotient_by_ideal([x]))
+    assert module.twists == (0, 2)
+    return module, (x + y, z - y)
+
+
+@pytest.mark.parametrize("name", [f"random{s}" for s in range(40)]
+                         + [f"example42-{d}" for d in (2, 3, 4)]
+                         + ["unequal-twist-sum"])
+def test_stacked_kernel_matches_the_hand_laid_blocks(name):
+    # colons by m, by each variable and by products of parameters, of N and
+    # of N + QF; intersections of power_submodule levels; the annihilators
+    # of the module and of every dual of its local cohomology
+    module, gens = _kernel_case(name)
+    mgens = module.algebra.variables()
+    products = [a * b for i, a in enumerate(gens) for b in gens[i:]]
+    for n in (module.relations, module.power_submodule(gens)):
+        for f in [mgens] + [[v] for v in mgens] + [[g] for g in products]:
+            assert submodule_colon(n, f) == reference_colon(n, f)
+    levels = [(module.power_submodule(gens, 2),
+               module.power_submodule(gens[:1])),
+              (module.power_submodule(gens),
+               module.power_submodule(mgens, 2))]
+    for first, second in levels:
+        assert (submodule_intersect(first, second)
+                == reference_intersect(first, second))
+    for m in [module] + [ds.module for ds in dual_sections(module)]:
+        assert m.annihilator() == reference_annihilator(m)
 
 
 # -- annihilator --------------------------------------------------------------

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from genuslab.errors import HomogeneityViolation
 from genuslab.ring import (DEFAULT_PRIME, FreeElement, FreeModule, PolyRing,
-                           Polynomial, binomial, degrevlex_cmp, degrevlex_key,
+                           Polynomial, binomial, degrevlex_key,
                            is_prime, mono_divides, mono_lcm,
                            poly_times_element)
 
@@ -85,13 +85,13 @@ def test_degrevlex_quadrics_in_three_variables():
     # x^2 > xy > y^2 > xz > yz > z^2
     chain = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     for a, b in zip(chain, chain[1:]):
-        assert degrevlex_cmp(a, b) == 1
-        assert degrevlex_cmp(b, a) == -1
-    assert degrevlex_cmp((1, 1, 0), (1, 1, 0)) == 0
+        assert degrevlex_key(a) > degrevlex_key(b)
+        assert degrevlex_key(b) < degrevlex_key(a)
+    assert degrevlex_key((1, 1, 0)) == degrevlex_key((1, 1, 0))
 
 
 def test_degrevlex_degree_dominates():
-    assert degrevlex_cmp((0, 0, 3), (2, 0, 0)) == 1
+    assert degrevlex_key((0, 0, 3)) > degrevlex_key((2, 0, 0))
 
 
 exps3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -100,17 +100,17 @@ exps3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 @given(exps3, exps3, exps3)
 def test_degrevlex_total_and_multiplicative(a, b, m):
     ka, kb = degrevlex_key(a), degrevlex_key(b)
-    assert (ka < kb) == (degrevlex_cmp(a, b) == -1)
-    if degrevlex_cmp(a, b) == 1:
+    assert (ka == kb) == (a == b)
+    if ka > kb:
         am = tuple(x + y for x, y in zip(a, m))
         bm = tuple(x + y for x, y in zip(b, m))
-        assert degrevlex_cmp(am, bm) == 1
+        assert degrevlex_key(am) > degrevlex_key(bm)
 
 
 @given(exps3, exps3)
 def test_divisor_is_smaller(a, b):
     if mono_divides(a, b):
-        assert degrevlex_cmp(a, b) in (-1, 0)
+        assert degrevlex_key(a) <= degrevlex_key(b)
     lcm = mono_lcm(a, b)
     assert mono_divides(a, lcm) and mono_divides(b, lcm)
 
@@ -168,13 +168,6 @@ def test_monomial_count_is_binomial(n_extra, d):
 
 
 # -- free modules -------------------------------------------------------------
-
-def test_term_degree_with_twists():
-    R = make_ring("xy", 7)
-    F = FreeModule(R, (0, 1))
-    assert F.term_degree((0, (2, 0))) == 2
-    assert F.term_degree((1, (2, 0))) == 3
-
 
 def test_element_homogeneity_with_twists():
     R = make_ring("xy", 7)
