@@ -9,8 +9,10 @@ up here; one that only moves work around does not.  Basis re-verification
 tests/golden/corpus.json is the exact stdout of `genuslab corpus
 --no-timings`, the default corpus, and tests/golden/scale.json that of
 `genuslab corpus --no-timings --config tests/golden/scale_grid.json`, the
-example44 grid at 6-9 variables.  They take seconds each, so CI diffs them
-in steps of their own instead of here.
+example44 grid at 6-9 variables.  tests/golden/example44_4_2.json is that of
+`genuslab corpus example44 4 2 --no-timings`, the hdeg recursion at 10
+variables.  They take seconds each, so CI diffs them in steps of their own
+instead of here.
 """
 
 import json
@@ -21,7 +23,7 @@ import pytest
 from genuslab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-CORPUS_FILES = {"corpus", "scale", "scale_grid"}
+CORPUS_FILES = {"corpus", "scale", "scale_grid", "example44_4_2"}
 GOLDEN = sorted(p for p in (ROOT / "tests" / "golden").glob("*.json")
                 if p.stem not in CORPUS_FILES)
 
