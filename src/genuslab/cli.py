@@ -22,8 +22,9 @@ from .corpus import (InstanceDescriptor, build_example42, build_example44,
 from .dsl import (CORPUS_FAMILIES, CheckCmd, ComputeCmd, CorpusCmd, Session,
                   corpus_parameter_problem, parse_session)
 from .errors import EngineError, HomogeneityViolation, ParseError
-from .invariants import (check_prop38, check_theorem34, hilbert_samuel_table,
-                         inequality_suite, invariant_report, multiplicity)
+from .invariants import (check_prop38, check_theorem34, covolume,
+                         hilbert_samuel_table, inequality_suite,
+                         invariant_report, multiplicity)
 from .report import (SCHEMA_VERSION, report_failed, serialize_checklist,
                      serialize_equivalence, serialize_invariants,
                      serialize_prop38, to_csv, to_json)
@@ -104,7 +105,7 @@ def _corpus_battery(desc: InstanceDescriptor, flags: RunFlags,
         out["ulrich"] = serialize_checklist(rep.checks)
         return {
             "e0": multiplicity(module, xs),
-            "covolume": hilbert_samuel_table(module, xs, 0).values[0],
+            "covolume": covolume(module, xs),
             "generators": module.minimal_generator_count(),
             "ulrich": rep.passed,
         }

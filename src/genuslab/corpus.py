@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CrossCheckFailure, GenerationFailure, PreconditionViolation
-from .invariants import CheckResult, hilbert_samuel_table, multiplicity
+from .invariants import CheckResult, covolume, multiplicity
 from .modules import GradedAlgebra, GradedModule, ParameterSequence, \
     idealization, module_from_matrix
 from .ring import Polynomial, PolyRing, binomial
@@ -130,12 +130,12 @@ def ulrich_check(module: GradedModule, ideal_gens) -> UlrichReport:
         "depth is maximal", "pass" if dep == ring_dim else "fail",
         {"depth": dep, "ring dimension": ring_dim})]
     e0 = multiplicity(module, gens)
-    cov = hilbert_samuel_table(module, gens, 0).values[0]
+    cov = covolume(module, gens)
     checks.append(CheckResult(
         "multiplicity equals the covolume",
         "pass" if e0 == cov else "fail", {"e0": e0, "covolume": cov}))
     mu = module.minimal_generator_count()
-    base = hilbert_samuel_table(algebra.cyclic_module(), gens, 0).values[0]
+    base = covolume(algebra.cyclic_module(), gens)
     checks.append(CheckResult(
         "reduction of the module is free over the reduction of the ring",
         "pass" if cov == mu * base else "fail",

@@ -341,11 +341,7 @@ class BuchbergerState:
     def insert(self, v: FreeElement) -> bool:
         """Append the normal form of v, made monic, with its pairs when it is
         nonzero; True exactly then."""
-        nf = self.normal_form(v)
-        if nf:
-            work = self._pack(nf)
-            self._append(max(work), work)
-        return bool(nf)
+        return self._add(self._pack(v))
 
     # -- pair processing
 

@@ -28,15 +28,18 @@ from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
                        groebner_basis, hilbert_series, kernel_of_map,
                        series_length)
 from .modules import GradedModule, embed, present_subquotient, zero_module
-from .ring import FreeElement, FreeModule, poly_times_element
+from .ring import FreeElement, FreeModule, mono_mul, poly_times_element
 
 
 def apply_columns(cols, v: FreeElement, target: FreeModule) -> FreeElement:
-    """Image of v under the map sending generator i to cols[i]."""
-    out = target.zero()
+    """Image of v under the map sending generator i to cols[i]: c·d·x^(e+f)
+    for every term c·x^e of v and d·x^f of its column, summed in one dict."""
+    terms = {}
     for (pos, e), c in v.terms.items():
-        out = out + cols[pos].shifted(e, c)
-    return out
+        for (b, f), d in cols[pos].terms.items():
+            t = (b, mono_mul(e, f))
+            terms[t] = terms.get(t, 0) + c * d
+    return FreeElement(target, terms)
 
 
 class FreeComplex:
@@ -101,47 +104,39 @@ def minimal_presentation(module: GradedModule) -> GradedModule:
     """An isomorphic module with no unit entries in its relations: every
     relation carrying a degree-zero coefficient is used to delete the
     corresponding generator.  Of several unit entries in one relation the
-    order-largest goes: they share the monomial 1, so the smallest position."""
+    order-largest goes: they share the monomial 1, so the smallest position.
+    Deletions keep the positions of the original ambient; the kept ones are
+    renumbered into one free module, with one basis, at the end."""
     ring = module.algebra.ring
     one = ring.zero_exps()
     rels = list(module.relations.gb)
-    twists = list(module.twists)
+    kept = list(range(module.rank))
     while True:
-        hit = None
-        for g in rels:
-            units = [pos for pos, e in g.terms if e == one]
-            if units:
-                t = min(units)
-                hit = (g, t, g.terms[(t, one)])
-                break
+        hit = next(((i, min(units)) for i, g in enumerate(rels)
+                    if (units := [pos for pos, e in g.terms if e == one])),
+                   None)
         if hit is None:
             break
-        g, t, u = hit
-        inv = ring.inv(u)
+        i, t = hit
+        g = rels.pop(i)
+        kept.remove(t)
+        inv = ring.inv(g.terms[(t, one)])
         survivors = []
         for h in rels:
-            if h is g:
-                continue
             ct = h.component(t)
             if ct:
                 h = h - poly_times_element(ct.scale(inv), g)
-            survivors.append(h)
-        new_twists = twists[:t] + twists[t + 1:]
-        F = FreeModule(ring, tuple(new_twists))
-        remapped = []
-        for h in survivors:
-            if not h:
-                continue
-            remapped.append(FreeElement(
-                F, {(pos - 1 if pos > t else pos, e): c
-                    for (pos, e), c in h.terms.items()}, _checked=True))
-        rels = remapped
-        twists = new_twists
-    if tuple(twists) == module.twists:
+            if h:
+                survivors.append(h)
+        rels = survivors
+    if len(kept) == module.rank:
         return module
-    F = FreeModule(ring, tuple(twists))
-    basis = groebner_basis(F, rels)
-    return GradedModule(module.algebra, tuple(twists), basis,
+    F = FreeModule(ring, tuple(module.twists[pos] for pos in kept))
+    renumber = {pos: new for new, pos in enumerate(kept)}
+    basis = groebner_basis(F, [FreeElement(
+        F, {(renumber[pos], e): c for (pos, e), c in h.terms.items()},
+        _checked=True) for h in rels])
+    return GradedModule(module.algebra, F.twists, basis,
                         relations_complete=True)
 
 
@@ -153,8 +148,7 @@ def free_resolution(module: GradedModule) -> FreeComplex:
     module's Hilbert series over (1-t)^nvars, as exactness requires."""
     def build():
         mp = minimal_presentation(module)
-        ring = module.algebra.ring
-        cap = ring.nvars
+        cap = module.algebra.ring.nvars
         spots = [mp.ambient]
         diffs = []
         current = mp.relations
@@ -165,10 +159,9 @@ def free_resolution(module: GradedModule) -> FreeComplex:
             if len(diffs) >= cap:
                 raise CrossCheckFailure(
                     "resolution exceeds the syzygy-theorem bound")
-            nxt = FreeModule(ring, tuple(c.degree for c in cols))
             diffs.append(cols)
-            spots.append(nxt)
-            current = kernel_of_map(cols, [c.degree for c in cols], spots[-2])
+            current = kernel_of_map(cols, [c.degree for c in cols], spots[-1])
+            spots.append(current.ambient)
         out = FreeComplex(spots, diffs)
         out.verify_compositions()
         euler = combine_series(*[((-1) ** i, t, {0: 1})
@@ -212,9 +205,7 @@ def ext_module(module: GradedModule, i: int) -> GradedModule:
             fnext_star = FreeModule(
                 ring, tuple(-t for t in res.spots[i + 1].twists))
             tcols = _transpose(res.diffs[i], fnext_star)
-            u = kernel_of_map(tcols, list(fi_star.twists), fnext_star)
-            top = [FreeElement(fi_star, dict(g.terms), _checked=True)
-                   for g in u.gb]
+            top = kernel_of_map(tcols, list(fi_star.twists), fnext_star).gb
         else:
             top = [fi_star.generator(b) for b in range(fi_star.rank)]
         if i >= 1:
@@ -377,11 +368,9 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
             if i == 0:
                 top = [spot.generator(b) for b in range(spot.rank)]
             else:
-                u = kernel_of_map(cx.diffs[i - 1],
-                                  list(spot.twists), cx.spots[i - 1],
-                                  relations=blocks(cx.spots[i - 1]))
-                top = [FreeElement(spot, dict(g.terms), _checked=True)
-                       for g in u.gb]
+                top = kernel_of_map(cx.diffs[i - 1], list(spot.twists),
+                                    cx.spots[i - 1],
+                                    relations=blocks(cx.spots[i - 1])).gb
             presented = present_subquotient(algebra, top, bottom,
                                             spot).total_length()
             if presented != length:

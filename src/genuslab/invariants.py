@@ -249,6 +249,17 @@ def _require_finite_colength(module: GradedModule, gens) -> None:
             "the ideal does not cut the module down to finite length")
 
 
+def covolume(module: GradedModule, gens) -> int:
+    """ℓ(M/QM) off the memoized quotient, with no length table; under
+    --verify-gb the table's row 0 must agree."""
+    _require_finite_colength(module, gens)
+    cov = module.quotient_by_ideal(gens).total_length()
+    if (debug_verification_enabled()
+            and cov != hilbert_samuel_table(module, gens, 0).values[0]):
+        raise CrossCheckFailure("covolume: quotient and length table differ")
+    return cov
+
+
 def _engine(module: GradedModule, gens) -> _TableEngine:
     return module._memo(("hsengine", frozenset(gens)),
                         lambda: _TableEngine(module, gens))
@@ -1181,7 +1192,7 @@ def _superficial_transfer(module, seq, c) -> CheckResult:
     cand, rep = pick
     bar = module.quotient_by_ideal([cand])
     cb = module_coefficients(bar, seq.gens)
-    bar_cov = hilbert_samuel_table(bar, seq.gens, 0).values[0]
+    bar_cov = covolume(bar, seq.gens)
     bar_genus = bar_cov - cb.e[0] + cb.e[1]
     genus = seq.covolume() - c.e[0] + c.e[1]
     correction = rep.colon_length if d == 2 else 0
@@ -1208,7 +1219,7 @@ def _section_transfer(module, seq, c) -> CheckResult:
                            "skipped", {"reason": "nothing left after the "
                                        "finite sections"})
     cc = module_coefficients(chopped, gens)
-    cov = hilbert_samuel_table(chopped, gens, 0).values[0]
+    cov = covolume(chopped, gens)
     eq_c = (cov - cc.e[0] + cc.e[1]
             == hdeg(chopped, gens) - cc.e[0] - torsion(chopped, gens, 1))
     trivial = _meet_is_relations(module, module.power_submodule(gens), h0b)

@@ -339,7 +339,8 @@ def stacked_kernel(blocks, cols, ambient: FreeModule) -> SubmoduleBasis:
     generator to cols[i]: one element of F per block (zero allowed).  Block
     b takes the positions b·r .. b·r + r - 1, with the twists of F lowered
     by s_b, and carries a copy of N_b's basis (Eisenbud, Commutative
-    Algebra, 15.10).  With no blocks the kernel is everything."""
+    Algebra, 15.10).  With no blocks the kernel is everything.  The basis
+    is kernel_of_map's as it comes, in the plain module of ambient's twists."""
     r = blocks[0][0].ambient.rank if blocks else 0
     target = FreeModule(ambient.ring, tuple(
         t - s for n, s in blocks for t in n.ambient.twists))
@@ -351,9 +352,7 @@ def stacked_kernel(blocks, cols, ambient: FreeModule) -> SubmoduleBasis:
         images.append(FreeElement(target, terms, _checked=True))
     rels = [embed(g, target, b * r) for b, (n, _) in enumerate(blocks)
             for g in n.gb]
-    ker = kernel_of_map(images, list(ambient.twists), target, relations=rels)
-    return SubmoduleBasis(ambient, [FreeElement(ambient, dict(g.terms),
-                                                _checked=True) for g in ker.gb])
+    return kernel_of_map(images, list(ambient.twists), target, relations=rels)
 
 
 def submodule_colon(n: SubmoduleBasis, f) -> SubmoduleBasis:

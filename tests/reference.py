@@ -10,11 +10,17 @@ resolutions by the graded Euler characteristic instead.
 each kernel with its own hand-laid blocks, as the engine did before one
 `stacked_kernel` served all three; the tests require the same reduced
 bases from both.
+`reference_minimal_presentation` deletes one generator per round and
+renumbers the ambient and every relation after each deletion, as the engine
+did before `minimal_presentation` kept the original positions throughout;
+the tests require the same twists and relation bases from both.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure
 from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
-from genuslab.ring import FreeElement, FreeModule, poly_in_position
+from genuslab.modules import GradedModule
+from genuslab.ring import (FreeElement, FreeModule, poly_in_position,
+                           poly_times_element)
 
 
 def element_from_components(ambient: FreeModule, polys) -> FreeElement:
@@ -121,3 +127,50 @@ def reference_annihilator(module) -> SubmoduleBasis:
     ker = kernel_of_map([col], [0], target, relations=rels)
     return SubmoduleBasis(F1, [
         FreeElement(F1, dict(g.terms), _checked=True) for g in ker.gb])
+
+
+def reference_minimal_presentation(module) -> GradedModule:
+    """Per-round unit elimination: the first relation with a unit entry
+    deletes its smallest unit position, then the ambient and every relation
+    are renumbered before the next round."""
+    ring = module.algebra.ring
+    one = ring.zero_exps()
+    rels = list(module.relations.gb)
+    twists = list(module.twists)
+    while True:
+        hit = None
+        for g in rels:
+            units = [pos for pos, e in g.terms if e == one]
+            if units:
+                t = min(units)
+                hit = (g, t, g.terms[(t, one)])
+                break
+        if hit is None:
+            break
+        g, t, u = hit
+        inv = ring.inv(u)
+        survivors = []
+        for h in rels:
+            if h is g:
+                continue
+            ct = h.component(t)
+            if ct:
+                h = h - poly_times_element(ct.scale(inv), g)
+            survivors.append(h)
+        new_twists = twists[:t] + twists[t + 1:]
+        F = FreeModule(ring, tuple(new_twists))
+        remapped = []
+        for h in survivors:
+            if not h:
+                continue
+            remapped.append(FreeElement(
+                F, {(pos - 1 if pos > t else pos, e): c
+                    for (pos, e), c in h.terms.items()}, _checked=True))
+        rels = remapped
+        twists = new_twists
+    if tuple(twists) == module.twists:
+        return module
+    F = FreeModule(ring, tuple(twists))
+    basis = groebner_basis(F, rels)
+    return GradedModule(module.algebra, tuple(twists), basis,
+                        relations_complete=True)

@@ -5,7 +5,6 @@ capture so the verdicts are always visible in the run log.
 """
 
 import random
-import sys
 import time
 
 import pytest

@@ -4,8 +4,8 @@ import pytest
 from genuslab.errors import GenerationFailure, NotGeneralizedCM
 from genuslab.groebner import NEG_INF, groebner_basis
 from genuslab.homology import depth, dual_sections
-from genuslab.invariants import (check_prop38, check_theorem34, euler_chi1,
-                                 hdeg, hilbert_samuel_table, inequality_suite,
+from genuslab.invariants import (check_theorem34, euler_chi1, hdeg,
+                                 hilbert_samuel_table, inequality_suite,
                                  module_coefficients, multiplicity,
                                  sectional_genus, sv_invariant, torsion)
 from genuslab.corpus import (build_example42, build_example44,

@@ -18,7 +18,8 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
 from genuslab.ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                            poly_in_position, poly_times_element)
 
-from reference import verify_resolution_exactness
+from reference import (reference_minimal_presentation,
+                       verify_resolution_exactness)
 
 
 def algebra(names, relations=(), p=32003):
@@ -98,6 +99,79 @@ def test_minimal_presentation_ignores_term_insertion_order():
         assert mp.twists == (0, 0)
         got.append([g.terms for g in mp.relations.gb])
     assert got[0] == got[1] == [{(1, x): 1, (0, y): A.ring.prime - 1}]
+
+
+def _three_deletions_module():
+    """Six generators over k[x,y] whose relations carry unit entries at
+    positions 1, 2 and 4, and 0 and 5, and each deletion moves the later
+    positions down; which of two unit entries goes changes the result."""
+    A, (x, y) = algebra("xy")
+    F = FreeModule(A.ring, (0, 1, 1, 0, 1, 0))
+    e = [F.generator(i) for i in range(6)]
+    rels = [e[1] - poly_in_position(F, x, 0),
+            e[2] + e[4] - poly_in_position(F, y, 3),
+            e[5] - e[0],
+            poly_in_position(F, x, 2) - poly_in_position(F, y, 4),
+            poly_in_position(F, x * x, 3) - poly_in_position(F, y, 1)]
+    return GradedModule(A, F.twists, rels)
+
+
+def _assert_presentations_match(monkeypatch, run):
+    """Every minimal_presentation call that run() makes gives the twists
+    and relation basis of the per-round reference."""
+    calls = []
+    real = homology.minimal_presentation
+
+    def recording(module):
+        out = real(module)
+        calls.append((module, out))
+        return out
+
+    monkeypatch.setattr(homology, "minimal_presentation", recording)
+    run()
+    assert calls
+    for module, got in calls:
+        want = reference_minimal_presentation(module)
+        assert got.twists == want.twists
+        assert got.relations == want.relations
+    return calls
+
+
+def test_minimal_presentation_renumbers_after_three_deletions(monkeypatch):
+    M = _three_deletions_module()
+    [(_, mp)] = _assert_presentations_match(
+        monkeypatch, lambda: homology.minimal_presentation(M))
+    assert M.rank - mp.rank >= 3
+    assert (mp.dimension(), mp.degree()) == (M.dimension(), M.degree())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimal_presentation_matches_the_reference_on_ext(monkeypatch, seed):
+    module = random_instance(seed)[0]
+    n = module.algebra.ring.nvars
+    _assert_presentations_match(
+        monkeypatch, lambda: [ext_module(module, i) for i in range(n + 1)])
+
+
+@pytest.mark.parametrize("lm", [(2, 2), (3, 1)], ids=["22", "31"])
+def test_minimal_presentation_matches_the_reference_on_example44_duals(
+        monkeypatch, lm):
+    module = build_example44(*lm)[1].module
+    _assert_presentations_match(monkeypatch, lambda: dual_sections(module))
+
+
+def test_verify_compositions_rejects_maps_that_do_not_compose_to_zero():
+    A, (x, y) = algebra("xy")
+    ring = A.ring
+    F0, F1, F2 = (FreeModule(ring, (d,)) for d in (0, 1, 2))
+    bad = FreeComplex([F0, F1, F2], [[poly_in_position(F0, x, 0)],
+                                     [poly_in_position(F1, y, 0)]])
+    with pytest.raises(CrossCheckFailure):
+        bad.verify_compositions()
+    seq = ParameterSequence(A.cyclic_module(), [x, y])
+    cx = koszul_complex(seq)
+    cx.verify_compositions()
+    assert FreeComplex(cx.spots, cx.diffs).betti_numbers() == (1, 2, 1)
 
 
 def test_exactness_verifier_rejects_truncation():
@@ -207,10 +281,11 @@ def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
     assert groebner.debug_verification_enabled()
     assert minimal_generators(basis) == want
     # picks that do not regenerate the submodule trip the cross-check: here
-    # every normal form that decides a pick reads zero, so nothing is picked
+    # every insertion that decides a pick reports nothing new, so nothing is
+    # picked
     class NoPicks(groebner.BuchbergerState):
-        def normal_form(self, v):
-            return v.ambient.zero()
+        def insert(self, v):
+            return False
 
     monkeypatch.setattr(homology, "BuchbergerState", NoPicks)
     with pytest.raises(CrossCheckFailure):

@@ -20,7 +20,7 @@ from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  _graded_engine, _graded_superficial,
                                  _not_annihilating, _windowed_superficial,
                                  check_prop38,
-                                 check_theorem34, euler_chi1,
+                                 check_theorem34, covolume, euler_chi1,
                                  find_d_sequence_generators, hdeg,
                                  hilbert_coefficients, hilbert_samuel_table,
                                  inequality_suite, invariant_report,
@@ -342,6 +342,37 @@ def test_series_multiplicity_needs_finite_colength(line_with_spike):
         multiplicity(M, (x,))
     with pytest.raises(InfiniteLength):
         module_coefficients(M, (x,))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_covolume_reads_the_quotient_and_checks_row_zero(monkeypatch, seed):
+    module, seq = random_instance(seed)
+    assert covolume(module, seq.gens) == seq.covolume()
+    assert covolume(module, seq.gens) == hilbert_samuel_table(
+        module, seq.gens, 0).values[0]
+    # a table whose row 0 is off by one trips the check under --verify-gb
+    table = invariants.hilbert_samuel_table
+
+    def off_by_one(*args):
+        return LengthTable(tuple(v + 1 for v in table(*args).values))
+
+    monkeypatch.setattr(invariants, "hilbert_samuel_table", off_by_one)
+    assert covolume(module, seq.gens) == seq.covolume()
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure):
+            covolume(module, seq.gens)
+    finally:
+        set_debug_verification(False)
+
+
+def test_covolume_keeps_the_infinite_length_message(line_with_spike):
+    M, x, y = line_with_spike
+    with pytest.raises(InfiniteLength) as table:
+        hilbert_samuel_table(M, (x,), 0)
+    with pytest.raises(InfiniteLength) as direct:
+        covolume(M, (x,))
+    assert str(direct.value) == str(table.value)
 
 
 def test_wrong_series_multiplicity_is_caught(monkeypatch):

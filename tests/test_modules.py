@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from genuslab import oracle
 from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
                              InfiniteLength, NonStandardGrading, NotLinearForm,

@@ -1,11 +1,11 @@
 """Arithmetic kernel: scalars, monomial orders, polynomials, module elements."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from genuslab.errors import HomogeneityViolation
-from genuslab.ring import (DEFAULT_PRIME, FreeElement, FreeModule, PolyRing,
-                           Polynomial, binomial, degrevlex_key,
+from genuslab.ring import (DEFAULT_PRIME, FreeModule, PolyRing, Polynomial,
+                           binomial, degrevlex_key,
                            is_prime, mono_divides, mono_lcm,
                            poly_times_element)
 
