@@ -102,9 +102,10 @@ def test_minimal_presentation_ignores_term_insertion_order():
 
 
 def _three_deletions_module():
-    """Six generators over k[x,y] whose relations carry unit entries at
-    positions 1, 2 and 4, and 0 and 5, and each deletion moves the later
-    positions down; which of two unit entries goes changes the result."""
+    """Six generators over k[x,y].  The relations carry a unit entry at
+    position 1, two at positions 2 and 4, and two at positions 0 and 5, so
+    three generators go.  Each deletion moves the later positions down, and
+    which of two unit entries goes changes the presentation."""
     A, (x, y) = algebra("xy")
     F = FreeModule(A.ring, (0, 1, 1, 0, 1, 0))
     e = [F.generator(i) for i in range(6)]
@@ -168,10 +169,8 @@ def test_verify_compositions_rejects_maps_that_do_not_compose_to_zero():
                                      [poly_in_position(F1, y, 0)]])
     with pytest.raises(CrossCheckFailure):
         bad.verify_compositions()
-    seq = ParameterSequence(A.cyclic_module(), [x, y])
-    cx = koszul_complex(seq)
-    cx.verify_compositions()
-    assert FreeComplex(cx.spots, cx.diffs).betti_numbers() == (1, 2, 1)
+    koszul = koszul_complex(ParameterSequence(A.cyclic_module(), [x, y]))
+    koszul.verify_compositions()
 
 
 def test_exactness_verifier_rejects_truncation():
