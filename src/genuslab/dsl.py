@@ -399,6 +399,10 @@ class _SessionParser:
             if self.statements:
                 raise ParseError(line, 1,
                                  "prime must come before everything else")
+            try:
+                PolyRing((), value)  # the modulus test every ring applies
+            except ValueError as err:
+                raise ParseError(line, 1, str(err)) from err
             self.session.prime = value
             return PrimeDecl(value)
         if head == "ring":

@@ -1,16 +1,19 @@
 """Free resolutions, dualized-resolution cohomology, depth, and Koszul
 homology.
 
-Resolutions are minimal by construction: at every step the differential is a
-Nakayama-minimal generating set of the syzygy module N, a basis of N/mN
-picked from N's reduced basis by one incremental Buchberger run on the picks
-themselves, so no unit entries ever appear and Auslander-Buchsbaum applies
-literally.  Every emitted resolution is checked two ways: consecutive
-differentials compose to zero, exactly, and the graded Euler characteristic
-of its free modules equals the Hilbert series of the module it resolves
-(Bruns-Herzog, Cohen-Macaulay Rings, 4.1), so a lost syzygy generator is
-caught too.  The dense per-degree exactness verifier, a second opinion for
-small instances, lives with the tests.
+Minimal generators are picked one way, `modules.minimal_picks`: one
+incremental Buchberger run that keeps an element exactly when its normal
+form modulo the submodule below and the earlier picks is nonzero.  It picks
+each differential of a resolution from the reduced basis of the syzygy
+module N, a basis of N/mN, and the generators of every presentation this
+layer builds (`minimal_presentation`, the Ext duals), so no relation and no
+differential has a unit entry and Auslander-Buchsbaum applies literally.
+Every emitted resolution is checked two ways: consecutive differentials
+compose to zero, exactly, and the graded Euler characteristic of its free
+modules equals the Hilbert series of the module it resolves (Bruns-Herzog,
+Cohen-Macaulay Rings, 4.1), so a lost syzygy generator is caught too.  The
+dense per-degree exactness verifier, a second opinion for small instances,
+lives with the tests.
 
 The local-cohomology duals are realized as cohomology of the dualized
 resolution, dropping the canonical-module twist: every consumer here (length,
@@ -23,12 +26,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CrossCheckFailure, ZeroModule
-from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
-                       combine_series, debug_verification_enabled,
-                       groebner_basis, hilbert_series, kernel_of_map,
-                       series_length)
-from .modules import GradedModule, embed, present_subquotient, zero_module
-from .ring import FreeElement, FreeModule, mono_mul, poly_times_element
+from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
+                       debug_verification_enabled, groebner_basis,
+                       hilbert_series, kernel_of_map, series_length)
+from .modules import (GradedModule, embed, minimal_picks, present_subquotient,
+                      zero_module)
+from .ring import FreeElement, FreeModule, mono_mul
 
 
 def apply_columns(cols, v: FreeElement, target: FreeModule) -> FreeElement:
@@ -72,72 +75,23 @@ class FreeComplex:
 
 
 def minimal_generators(basis: SubmoduleBasis) -> list:
-    """A Nakayama-minimal generating set for the submodule N, picked from its
-    reduced basis in ascending (degree, lead term) order.
-
-    One Buchberger run on the picks so far decides every pick (Kreuzer-
-    Robbiano, Computational Commutative Algebra 2, ch. 4).  Before g of
-    degree d the run is processed through degree d, so it is a basis of the
-    picks' submodule P there, and g is picked exactly when its normal form
-    is nonzero, that is when g is not in P_d; the normal form joins the run.
-    The picks before degree d generate N below degree d, so P_d is (mN)_d
-    plus the span of the earlier picks of degree d: g is picked exactly when
-    it is not in mN plus the earlier picks, the definition of a basis of
-    N/mN.  No basis of mN is ever built.  Under --verify-gb the picks must
-    regenerate N.
-    """
-    ambient = basis.ambient
-    picks = BuchbergerState(ambient, [])
-    picked = []
-    for g in sorted(basis.gb,
-                    key=lambda g: (g.degree, ambient.term_key(g.lead_term()[0]))):
-        picks.process(until=g.degree)
-        if picks.insert(g):
-            picked.append(g)
-    if debug_verification_enabled() and groebner_basis(ambient, picked) != basis:
-        raise CrossCheckFailure(
-            "minimal generators do not regenerate the submodule")
-    return picked
+    """A basis of N/mN for the submodule N, picked by `minimal_picks` from
+    its reduced basis in ascending (degree, lead term) order."""
+    key = basis.ambient.term_key
+    return minimal_picks(sorted(basis.gb, key=lambda g: (
+        g.degree, key(g.lead_term()[0]))), SubmoduleBasis.zero(basis.ambient))
 
 
 def minimal_presentation(module: GradedModule) -> GradedModule:
-    """An isomorphic module with no unit entries in its relations: every
-    relation carrying a degree-zero coefficient is used to delete the
-    corresponding generator.  Of several unit entries in one relation the
-    order-largest goes: they share the monomial 1, so the smallest position.
-    Deletions keep the positions of the original ambient; the kept ones are
-    renumbered into one free module, with one basis, at the end."""
-    ring = module.algebra.ring
-    one = ring.zero_exps()
-    rels = list(module.relations.gb)
-    kept = list(range(module.rank))
-    while True:
-        hit = next(((i, min(units)) for i, g in enumerate(rels)
-                    if (units := [pos for pos, e in g.terms if e == one])),
-                   None)
-        if hit is None:
-            break
-        i, t = hit
-        g = rels.pop(i)
-        kept.remove(t)
-        inv = ring.inv(g.terms[(t, one)])
-        survivors = []
-        for h in rels:
-            ct = h.component(t)
-            if ct:
-                h = h - poly_times_element(ct.scale(inv), g)
-            if h:
-                survivors.append(h)
-        rels = survivors
-    if len(kept) == module.rank:
+    """An isomorphic module with no unit entries in its relations: the
+    module itself when no relation has a degree-zero entry (so N lies in
+    mF), else the module presented on its own generators."""
+    one = module.algebra.ring.zero_exps()
+    if not any(e == one for g in module.relations.gb for _, e in g.terms):
         return module
-    F = FreeModule(ring, tuple(module.twists[pos] for pos in kept))
-    renumber = {pos: new for new, pos in enumerate(kept)}
-    basis = groebner_basis(F, [FreeElement(
-        F, {(renumber[pos], e): c for (pos, e), c in h.terms.items()},
-        _checked=True) for h in rels])
-    return GradedModule(module.algebra, F.twists, basis,
-                        relations_complete=True)
+    gens = [module.ambient.generator(i) for i in range(module.rank)]
+    return present_subquotient(module.algebra, gens, module.relations,
+                               module.ambient)
 
 
 def free_resolution(module: GradedModule) -> FreeComplex:
@@ -191,16 +145,17 @@ def _transpose(cols, dual_domain: FreeModule):
 
 
 def ext_module(module: GradedModule, i: int) -> GradedModule:
-    """Cohomology of the dualized minimal resolution at spot i, presented and
-    then minimized."""
+    """Cohomology of the dualized minimal resolution at spot i, the kernel
+    of d_i^T over the image of d_(i-1)^T, presented on minimal picks of the
+    kernel's basis: the zero module when every element of the kernel lies
+    in the image, with no presentation built."""
     def build():
         res = free_resolution(module)
         pd = res.length
         if i < 0 or i > pd:
             return zero_module(module.algebra)
         ring = module.algebra.ring
-        fi = res.spots[i]
-        fi_star = FreeModule(ring, tuple(-t for t in fi.twists))
+        fi_star = FreeModule(ring, tuple(-t for t in res.spots[i].twists))
         if i < pd:
             fnext_star = FreeModule(
                 ring, tuple(-t for t in res.spots[i + 1].twists))
@@ -208,13 +163,9 @@ def ext_module(module: GradedModule, i: int) -> GradedModule:
             top = kernel_of_map(tcols, list(fi_star.twists), fnext_star).gb
         else:
             top = [fi_star.generator(b) for b in range(fi_star.rank)]
-        if i >= 1:
-            bcols = _transpose(res.diffs[i - 1], fi_star)
-            bottom = groebner_basis(fi_star, bcols)
-        else:
-            bottom = SubmoduleBasis.zero(fi_star)
-        return minimal_presentation(
-            present_subquotient(module.algebra, top, bottom, fi_star))
+        bottom = groebner_basis(
+            fi_star, _transpose(res.diffs[i - 1], fi_star) if i else [])
+        return present_subquotient(module.algebra, top, bottom, fi_star)
     return module._memo(("ext", i), build)
 
 

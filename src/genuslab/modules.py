@@ -13,11 +13,11 @@ kept on its module.  A submodule is its reduced basis (SubmoduleBasis).
 The kernels here, the colon, intersection and annihilator, are one
 construction, `stacked_kernel`: the kernel of a map into a direct sum of
 shifted quotients F/N_b.  They are built where a caller needs their
-elements and otherwise only under --verify-gb: what is only measured or
-compared is read off Hilbert series (`colon_series`, and
-`colon_quotient_series` for the quotients (N : f)/N, which under
---verify-gb presents the built colon and compares the whole series), and
-annihilation is tested by membership.
+elements and otherwise only under --verify-gb: what is only measured is
+read off Hilbert series (`colon_series`, `colon_quotient_series`), and
+annihilation is tested by membership.  Minimal generators are picked one
+way, `minimal_picks`, and every subquotient is presented on its picks, so
+no presentation has a unit entry.
 """
 from __future__ import annotations
 
@@ -25,11 +25,11 @@ from .errors import (CrossCheckFailure, DependentRows, IncompleteBasis,
                      InfiniteLength, NonStandardGrading, NotLinearForm,
                      PreconditionViolation, RaggedMatrix, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
-                       debug_verification_enabled, groebner_basis,
-                       hilbert_series, kernel_of_map, quotient_dimension,
-                       quotient_total_length, series_dimension,
-                       series_length)
+from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
+                       combine_series, debug_verification_enabled,
+                       groebner_basis, hilbert_series, kernel_of_map,
+                       quotient_dimension, quotient_total_length,
+                       series_dimension, series_length)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -308,18 +308,51 @@ def module_from_matrix(algebra: GradedAlgebra, rows, row_twists=None) -> GradedM
     return GradedModule(algebra, twists, relations)
 
 
+def minimal_picks(gens, bottom: SubmoduleBasis) -> list:
+    """The gens that form a basis of (⟨gens⟩ + B)/(m·⟨gens⟩ + B) for the
+    submodule B = bottom, in their given order: a minimal generating set of
+    (⟨gens⟩ + B)/B chosen among the gens (Nakayama).
+
+    One Buchberger run seeded with B's reduced basis decides every pick
+    (Kreuzer-Robbiano, Computational Commutative Algebra 2, ch. 4).  The
+    gens are tried by ascending degree, in their given order within one.
+    Before g of degree d the run is processed through degree d, so it is a
+    basis of B + P there, P the picks so far, and g is picked exactly when
+    its normal form is nonzero; the normal form joins the run.  The earlier
+    picks and B generate ⟨gens⟩ + B below degree d, so (B + P)_d is
+    (m·⟨gens⟩ + B)_d plus the span of the earlier picks of degree d, and no
+    basis of m·⟨gens⟩ is ever built.  Under --verify-gb the picks and B must
+    regenerate ⟨gens⟩ + B."""
+    ambient, prefix = bottom.ambient, len(bottom.gb)
+    run = BuchbergerState(ambient, bottom.gb, assume_reduced_prefix=prefix)
+    kept = set()
+    for i in sorted(range(len(gens)), key=lambda i: gens[i].degree):
+        run.process(until=gens[i].degree)
+        if run.insert(gens[i]):
+            kept.add(i)
+    picked = [g for i, g in enumerate(gens) if i in kept]
+    if debug_verification_enabled() and not groebner_basis(
+            ambient, list(bottom.gb) + picked,
+            assume_reduced_prefix=prefix).contains_all(gens):
+        raise CrossCheckFailure(
+            "minimal generators do not regenerate the submodule")
+    return picked
+
+
 def present_subquotient(algebra: GradedAlgebra, gens, bottom: SubmoduleBasis,
                         ambient: FreeModule) -> GradedModule:
-    """The module (gens + bottom)/bottom, presented on the given generators.
-
-    Requires the quotient to be killed by the defining ideal, so that f·g
-    lies in bottom for every ideal generator f and every g in gens; the
-    presentation kernel then picks up the ideal action on its own.  Holds
-    whenever bottom contains I·ambient, and also for cohomology of dualized
-    resolutions (killed by the annihilator)."""
-    gens = [g for g in gens if g]
-    degs = [g.degree for g in gens]
-    ker = kernel_of_map(gens, degs, ambient, relations=bottom)
+    """The module (gens + bottom)/bottom, presented on the `minimal_picks`
+    of the nonzero gens modulo bottom, the last gen of a degree tried
+    first, so no relation has a unit entry; the zero module when nothing is
+    picked.  Requires the quotient to be killed by the defining ideal, as
+    when bottom contains I·ambient or for cohomology of dualized
+    resolutions (killed by the annihilator): the kernel then picks up the
+    ideal action on its own."""
+    picked = minimal_picks([g for g in gens if g][::-1], bottom)[::-1]
+    if not picked:
+        return zero_module(algebra)
+    degs = [g.degree for g in picked]
+    ker = kernel_of_map(picked, degs, ambient, relations=bottom)
     return GradedModule(algebra, degs, ker, relations_complete=True)
 
 

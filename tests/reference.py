@@ -12,13 +12,19 @@ each kernel with its own hand-laid blocks, as the engine did before one
 bases from both.
 `reference_minimal_presentation` deletes one generator per round and
 renumbers the ambient and every relation after each deletion, as the engine
-did before `minimal_presentation` kept the original positions throughout;
-the tests require the same twists and relation bases from both.
+did before `minimal_presentation` kept the original positions throughout.
+`reference_present_subquotient` presents a subquotient on all of its
+generators, a kernel over every one of them, as the engine did before it
+picked minimal generators modulo the bottom first, and
+`reference_ext_module` is the route `ext_module` took with the two: all of
+ker d_i^T presented over im d_(i-1)^T, then units eliminated.  The tests
+require the same twists and relation bases from the engine and from these.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure
 from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
-from genuslab.modules import GradedModule
+from genuslab.homology import _transpose, free_resolution
+from genuslab.modules import GradedModule, zero_module
 from genuslab.ring import (FreeElement, FreeModule, poly_in_position,
                            poly_times_element)
 
@@ -174,3 +180,42 @@ def reference_minimal_presentation(module) -> GradedModule:
     basis = groebner_basis(F, rels)
     return GradedModule(module.algebra, tuple(twists), basis,
                         relations_complete=True)
+
+
+def reference_present_subquotient(algebra, gens, bottom, ambient):
+    """(gens + bottom)/bottom presented on every nonzero gen."""
+    gens = [g for g in gens if g]
+    degs = [g.degree for g in gens]
+    ker = kernel_of_map(gens, degs, ambient, relations=bottom)
+    return GradedModule(algebra, degs, ker, relations_complete=True)
+
+
+def ext_cycles_and_boundaries(module, i):
+    """(Z, B, F_i*) at spot 0 <= i <= pd of the dualized minimal
+    resolution: the basis elements of Z = ker d_i^T (all of F_i* at i = pd)
+    and the basis B of im d_(i-1)^T (zero at i = 0), both in F_i*."""
+    res = free_resolution(module)
+    ring = module.algebra.ring
+    fi_star = FreeModule(ring, tuple(-t for t in res.spots[i].twists))
+    if i < res.length:
+        fnext_star = FreeModule(
+            ring, tuple(-t for t in res.spots[i + 1].twists))
+        tcols = _transpose(res.diffs[i], fnext_star)
+        top = list(kernel_of_map(tcols, list(fi_star.twists), fnext_star).gb)
+    else:
+        top = [fi_star.generator(b) for b in range(fi_star.rank)]
+    if i >= 1:
+        bottom = groebner_basis(fi_star, _transpose(res.diffs[i - 1], fi_star))
+    else:
+        bottom = SubmoduleBasis.zero(fi_star)
+    return top, bottom, fi_star
+
+
+def reference_ext_module(module, i):
+    """Ext^i(M, S) as ext_module presented it before it picked minimal
+    generators: all of Z over B, then per-round unit elimination."""
+    if i < 0 or i > free_resolution(module).length:
+        return zero_module(module.algebra)
+    top, bottom, fi_star = ext_cycles_and_boundaries(module, i)
+    return reference_minimal_presentation(reference_present_subquotient(
+        module.algebra, top, bottom, fi_star))

@@ -18,7 +18,8 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
 from genuslab.ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                            poly_in_position, poly_times_element)
 
-from reference import (reference_minimal_presentation,
+from reference import (ext_cycles_and_boundaries, reference_ext_module,
+                       reference_minimal_presentation,
                        verify_resolution_exactness)
 
 
@@ -146,19 +147,28 @@ def test_minimal_presentation_renumbers_after_three_deletions(monkeypatch):
     assert (mp.dimension(), mp.degree()) == (M.dimension(), M.degree())
 
 
+def _assert_ext_matches_the_reference(module):
+    """Every ext_module(module, i) has the twists and relation basis of the
+    route it replaced: all of ker d_i^T presented over im d_(i-1)^T, then
+    unit elimination."""
+    for i in range(module.algebra.ring.nvars + 1):
+        got, want = ext_module(module, i), reference_ext_module(module, i)
+        assert got.twists == want.twists
+        assert got.relations == want.relations
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_minimal_presentation_matches_the_reference_on_ext(monkeypatch, seed):
-    module = random_instance(seed)[0]
-    n = module.algebra.ring.nvars
-    _assert_presentations_match(
-        monkeypatch, lambda: [ext_module(module, i) for i in range(n + 1)])
+def test_minimal_presentation_matches_the_reference_on_ext(seed):
+    _assert_ext_matches_the_reference(random_instance(seed)[0])
 
 
 @pytest.mark.parametrize("lm", [(2, 2), (3, 1)], ids=["22", "31"])
-def test_minimal_presentation_matches_the_reference_on_example44_duals(
-        monkeypatch, lm):
+def test_minimal_presentation_matches_the_reference_on_example44_duals(lm):
+    # the module's Ext modules, and those of each of its duals
     module = build_example44(*lm)[1].module
-    _assert_presentations_match(monkeypatch, lambda: dual_sections(module))
+    _assert_ext_matches_the_reference(module)
+    for ds in dual_sections(module):
+        _assert_ext_matches_the_reference(ds.module)
 
 
 def test_verify_compositions_rejects_maps_that_do_not_compose_to_zero():
@@ -242,29 +252,51 @@ def _syzygies_of(build):
     return syzygies(basis.ambient, basis.gb)
 
 
+def _ext_pair(build, i):
+    # (Z, B) at spot i of the dualized resolution, as ext_module builds them
+    return lambda: ext_cycles_and_boundaries(build(), i)[:2]
+
+
 @pytest.mark.parametrize("build", [
     lambda: _random_relations(0), lambda: _random_relations(5),
     lambda: _random_relations(10), _example42_relations,
     _unequal_twist_relations, _binomial_relations,
     lambda: _syzygies_of(lambda: _random_relations(0)),
     lambda: _syzygies_of(_binomial_relations),
+    _ext_pair(lambda: random_instance(0)[0], 1),
+    _ext_pair(lambda: random_instance(0)[0], 2),
+    _ext_pair(lambda: build_example42(2)[1], 1),
+    _ext_pair(lambda: build_example44(2, 2)[1].module, 1),
+    _ext_pair(lambda: build_example44(2, 2)[1].module, 2),
 ], ids=["random0", "random5", "random10", "example42-3", "unequal-twist-sum",
-        "binomial", "syzygies-random0", "syzygies-binomial"])
+        "binomial", "syzygies-random0", "syzygies-binomial", "ext1-random0",
+        "ext2-random0", "ext1-example42-2", "ext1-example44-22",
+        "ext2-example44-22"])
 def test_minimal_generators_against_the_oracle(build):
-    # in every degree t the picks are a basis of N_t / (mN)_t, by dense
-    # linear algebra, and together they regenerate N
-    basis = build()
-    ambient = basis.ambient
+    # in every degree t the picks are a basis of Z_t / (mZ + B)_t, by dense
+    # linear algebra, and together with B they regenerate Z.  B is zero for
+    # a submodule's own basis, which minimal_generators picks from; for the
+    # cycles Z of a dualized resolution B is the boundaries, and two of the
+    # cases are zero duals, Z = B
+    built = build()
+    if isinstance(built, SubmoduleBasis):
+        gens, bottom = list(built.gb), SubmoduleBasis.zero(built.ambient)
+        picked = minimal_generators(built)
+    else:
+        gens, bottom = built
+        picked = modules.minimal_picks(gens, bottom)
+    ambient = bottom.ambient
     ring = ambient.ring
-    picked = minimal_generators(basis)
-    mn = [poly_times_element(ring.variable(i), g)
-          for i in range(ring.nvars) for g in basis.gb]
-    degrees = [g.degree for g in basis.gb]
+    b = list(bottom.gb)
+    mz = [poly_times_element(ring.variable(i), g)
+          for i in range(ring.nvars) for g in gens]
+    degrees = [g.degree for g in gens]
     for t in range(min(degrees), max(degrees) + 1):
         assert (sum(1 for g in picked if g.degree == t)
-                == oracle.span_dimension(ambient, basis.gb, t)
-                - oracle.span_dimension(ambient, mn, t))
-    assert groebner_basis(ambient, picked).gb == basis.gb
+                == oracle.span_dimension(ambient, gens + b, t)
+                - oracle.span_dimension(ambient, mz + b, t))
+    assert (groebner_basis(ambient, picked + b)
+            == groebner_basis(ambient, gens + b))
 
 
 def test_example44_41_betti_numbers():
@@ -279,16 +311,42 @@ def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
     monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
     assert groebner.debug_verification_enabled()
     assert minimal_generators(basis) == want
-    # picks that do not regenerate the submodule trip the cross-check: here
-    # every insertion that decides a pick reports nothing new, so nothing is
-    # picked
-    class NoPicks(groebner.BuchbergerState):
-        def insert(self, v):
-            return False
-
-    monkeypatch.setattr(homology, "BuchbergerState", NoPicks)
+    # picks that do not regenerate the submodule trip the cross-check
+    monkeypatch.setattr(modules, "BuchbergerState", _NoPicks)
     with pytest.raises(CrossCheckFailure):
         minimal_generators(basis)
+
+
+class _NoPicks(groebner.BuchbergerState):
+    # every insertion that decides a pick reports nothing new, so nothing is
+    # picked
+    def insert(self, v):
+        return False
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify-gb"])
+@pytest.mark.parametrize("present", ["ext_module", "minimal_presentation"])
+def test_presentations_cross_check_under_verify_gb(monkeypatch, present,
+                                                   verify):
+    # with no picks, a nonzero Ext module and a module with unit entries
+    # both come out as the zero module: a plain run cannot tell, and
+    # --verify-gb finds that the picks do not regenerate the module
+    if present == "ext_module":
+        assert not ext_module(random_instance(0)[0], 2).is_zero()
+        module = random_instance(0)[0]
+        free_resolution(module)  # resolved before the fault
+        run = lambda: ext_module(module, 2)
+    else:
+        module = _three_deletions_module()
+        run = lambda: minimal_presentation(module)
+        assert not run().is_zero()
+    monkeypatch.setattr(modules, "BuchbergerState", _NoPicks)
+    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", verify)
+    if verify:
+        with pytest.raises(CrossCheckFailure, match="regenerate"):
+            run()
+    else:
+        assert run().is_zero()
 
 
 # -- exactness -----------------------------------------------------------------

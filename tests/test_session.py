@@ -121,7 +121,9 @@ def test_expression_print_parse_identity(tree):
     ("ring R = vars x\nring R = vars y\n", 2),
     ("ring R = vars x\nprime 101\n", 2),
     ("ring R = vars x x\n", 1),
-    ("prime 4\nring R = vars x\n", 2),
+    ("prime 4\nring R = vars x\n", 1),
+    ("prime 4\ncorpus example42 1\n", 1),
+    ("prime 1\n", 1),
     ("ring R = vars x\nideal I = x\ncheck frobnicate R I\n", 3),
     ("corpus unknown44 2 1\n", 1),
     ("prime 32003\ncorpus example44 1 1\n", 2),
