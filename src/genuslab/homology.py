@@ -76,10 +76,8 @@ class FreeComplex:
 
 def minimal_generators(basis: SubmoduleBasis) -> list:
     """A basis of N/mN for the submodule N, picked by `minimal_picks` from
-    its reduced basis in ascending (degree, lead term) order."""
-    key = basis.ambient.term_key
-    return minimal_picks(sorted(basis.gb, key=lambda g: (
-        g.degree, key(g.lead_term()[0]))), SubmoduleBasis.zero(basis.ambient))
+    its reduced basis, sorted by lead, so in (degree, lead term) order."""
+    return minimal_picks(basis.gb, SubmoduleBasis.zero(basis.ambient))
 
 
 def minimal_presentation(module: GradedModule) -> GradedModule:
@@ -148,7 +146,11 @@ def ext_module(module: GradedModule, i: int) -> GradedModule:
     """Cohomology of the dualized minimal resolution at spot i, the kernel
     of d_i^T over the image of d_(i-1)^T, presented on minimal picks of the
     kernel's basis: the zero module when every element of the kernel lies
-    in the image, with no presentation built."""
+    in the image, with no presentation built.
+
+    At i = pd the kernel is F_pd* and the image lies in m·F_pd* (minimal
+    resolution), so the module is F_pd* over the image, with no pick and no
+    kernel; under --verify-gb every generator must still be picked."""
     def build():
         res = free_resolution(module)
         pd = res.length
@@ -156,16 +158,21 @@ def ext_module(module: GradedModule, i: int) -> GradedModule:
             return zero_module(module.algebra)
         ring = module.algebra.ring
         fi_star = FreeModule(ring, tuple(-t for t in res.spots[i].twists))
+        bottom = groebner_basis(
+            fi_star, _transpose(res.diffs[i - 1], fi_star) if i else [])
         if i < pd:
             fnext_star = FreeModule(
                 ring, tuple(-t for t in res.spots[i + 1].twists))
             tcols = _transpose(res.diffs[i], fnext_star)
             top = kernel_of_map(tcols, list(fi_star.twists), fnext_star).gb
-        else:
-            top = [fi_star.generator(b) for b in range(fi_star.rank)]
-        bottom = groebner_basis(
-            fi_star, _transpose(res.diffs[i - 1], fi_star) if i else [])
-        return present_subquotient(module.algebra, top, bottom, fi_star)
+            return present_subquotient(module.algebra, top, bottom, fi_star)
+        if debug_verification_enabled() and len(minimal_picks(
+                [fi_star.generator(b) for b in range(fi_star.rank)],
+                bottom)) < fi_star.rank:
+            raise CrossCheckFailure(
+                f"ext_module: a generator of F_{i}* at spot pd is not picked")
+        return GradedModule(module.algebra, fi_star.twists, bottom,
+                            relations_complete=True)
     return module._memo(("ext", i), build)
 
 

@@ -56,7 +56,7 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
 from .groebner import (NEG_INF, combine_series, debug_verification_enabled,
                        finite_colength, groebner_basis, hilbert_series,
                        quotient_total_length, series_dimension, series_length)
-from .homology import dual_sections, koszul_homology_lengths
+from .homology import dual_sections, ext_module, koszul_homology_lengths
 from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       colon_quotient_series, colon_series,
                       complete_to_invertible, echelon_insert,
@@ -464,9 +464,9 @@ def euler_chi1(module: GradedModule, q) -> tuple:
 # -- homological degree and torsion -------------------------------------------
 
 def hdeg(module: GradedModule, q) -> int:
-    """Homological degree: length in dimension <= 0, otherwise the
-    multiplicity plus binomially weighted degrees of the cohomology duals.
-    Well-founded because the j-th dual has dimension at most j < dim M."""
+    """Homological degree off the module's own resolution: the length in
+    dimension <= 0, else e_Q plus binomially weighted degrees of its duals,
+    D_j of dimension <= j < dim M.  QM, M/H⁰M: `finite_length_twin`."""
     if module.is_zero():
         return 0
     s = module.dimension()
@@ -484,7 +484,7 @@ def hdeg(module: GradedModule, q) -> int:
 
 
 def torsion(module: GradedModule, q, i: int) -> int:
-    """The i-th torsion: weighted degrees of the duals at indices above i."""
+    """The i-th torsion: weighted degrees of D_1..D_(d-i), never D_0."""
     s = module.dimension()
     s = 0 if s == NEG_INF else int(s)
     if s < 2:
@@ -495,6 +495,82 @@ def torsion(module: GradedModule, q, i: int) -> int:
     duals = dual_sections(module)
     return sum(binomial(s - i - 1, j - 1) * hdeg(duals[j].module, gens)
                for j in range(1, s - i + 1))
+
+
+def _multiples_sections_series(module: GradedModule, gens) -> dict:
+    """Numerator of HS(H⁰(QM)) = HS((u ∩ P)/N) over (1-t)^n, u = h0_submodule
+    and P = N + QF, memoized per Q, by 0 -> F/(u ∩ P) -> F/u ⊕ F/P ->
+    F/(u + P) -> 0 from one basis of u + P with P's as its prefix; zero iff
+    P meets u in N alone.  Under --verify-gb u ∩ P is built, and must agree."""
+    def build():
+        first, second = module.power_submodule(gens), module.h0_submodule()
+        both = groebner_basis(module.ambient, list(first.gb) + list(second.gb),
+                              assume_reduced_prefix=len(first.gb))
+        relations = hilbert_series(module.relations)
+        series = combine_series(
+            (1, 0, relations), (-1, 0, hilbert_series(first)),
+            (-1, 0, hilbert_series(second)), (1, 0, hilbert_series(both)))
+        if debug_verification_enabled() and series != combine_series(
+                (1, 0, relations), (-1, 0, hilbert_series(
+                    submodule_intersect(first, second)))):
+            raise CrossCheckFailure(
+                "the intersection series and the intersection disagree")
+        return series
+    return module._memo(("H0(QM)", frozenset(gens)), build)
+
+
+def finite_length_twin(module: GradedModule, gens, kind: str) -> tuple:
+    """(hdeg, first torsion) of L = QM (kind "QM", d >= 1, torsion None) or
+    L = M/H⁰(M) (kind "M/H0", d >= 2), d = dim M, off M's own duals D_j =
+    Ext^(n-j)(-, S), with no resolution of L.  Ext^i vanishes below n on the
+    finite-length difference, so D_j(L) ≅ D_j(M) for j >= 2 (QM) and j >= 1
+    (M/H⁰(M), whose D_0 is 0) (Bruns-Herzog, 3.5, 4.1; Vasconcelos 1998):
+    hdeg(M/H⁰M) = hdeg(M) - ℓ(H⁰M), torsions equal.  For QM, with E_i(N) the
+    numerator of HS(Ext^i(N, S)), P_N that of HS(N), Σ(-1)^i E_i = P(1/t)
+    and H = H⁰(QM): E_n(QM) = (-1)^n P_H(1/t), E_(n-1)(QM) = E_(n-1)(M) -
+    E_n(M) + (-1)^n (P_H + P_(M/QM))(1/t), and hdeg(QM) = e_Q(M) + ℓ(H) +
+    (d-1)·hdeg(D_1(QM)) + Σ_(j>=2) C(d-1, j)·hdeg(D_j(M)), where
+    hdeg(D_1(QM)) is E_(n-1)(QM) at t = 1 unless that has positive
+    dimension, and only then is D_1(QM) presented off L's resolution.  Under
+    --verify-gb L is resolved and dualized too, and must agree."""
+    n, d = module.algebra.ring.nvars, int(module.dimension())
+    verify = debug_verification_enabled()
+    twin = lambda: module._memo((kind, frozenset(gens)), lambda: (
+        present_subquotient(module.algebra, module.ideal_multiples(list(gens)),
+                            module.relations, module.ambient) if kind == "QM"
+        else module.quotient_by_submodule(module.h0_submodule())))
+    ext = lambda m, j: hilbert_series(ext_module(m, n - j).relations)
+    bar = lambda num: {-t: (-1) ** n * c for t, c in num.items()}
+    if kind == "M/H0":
+        shared, predicted = range(1, d), {0: {}}
+        got = (hdeg(module, gens) - module.h0_length(),
+               torsion(module, gens, 1))
+    else:
+        shared, sections = range(2, d), _multiples_sections_series(module, gens)
+        predicted = {0: bar(sections)}
+        if d >= 2 or verify:
+            predicted[1] = combine_series((1, 0, bar(combine_series(
+                (1, 0, sections),
+                (1, 0, hilbert_series(module.power_submodule(gens)))))),
+                (1, 0, ext(module, 1)), (-1, 0, ext(module, 0)))
+        h = multiplicity(module, gens) + series_length(sections, n) + sum(
+            binomial(d - 1, j) * hdeg(ext_module(module, n - j), gens)
+            for j in shared)
+        if d >= 2:
+            dim1, len1 = series_dimension(predicted[1], n)
+            h += (d - 1) * (len1 if dim1 <= 0
+                            else hdeg(ext_module(twin(), n - 1), gens))
+        got = (h, None)
+    if verify:
+        predicted.update({j: ext(module, j) for j in shared})
+        bad = [j for j in sorted(predicted) if ext(twin(), j) != predicted[j]]
+        want = (hdeg(twin(), gens),
+                torsion(twin(), gens, 1) if kind == "M/H0" else None)
+        if bad or want != got:
+            raise CrossCheckFailure(
+                f"finite_length_twin ({kind}): L's own duals at {bad} differ "
+                f"from M's, or hdeg and torsion {want} from {got}")
+    return got
 
 
 def sv_invariant(module: GradedModule) -> int:
@@ -1074,8 +1150,7 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
         consequences.append(CheckResult(
             "closed form reproduces the table", "pass",
             {"window": list(table.values[:d + 4])}))
-        if not _meet_is_relations(module, module.power_submodule(seq.gens),
-                                  module.h0_submodule()):
+        if _multiples_sections_series(module, seq.gens):
             raise CrossCheckFailure(
                 "the parameter multiples meet the finite sections")
         consequences.append(CheckResult(
@@ -1097,7 +1172,8 @@ def check_theorem34(module: GradedModule, q, seed: int = 0,
 def inequality_suite(module: GradedModule, q) -> tuple:
     """Every inequality and transfer law on one instance, each reported
     with its numbers.  Engine-level cross-checks raise; statements about
-    the mathematics are reported pass/fail."""
+    the mathematics are reported pass/fail.  hdeg(QM), for degree
+    subadditivity, comes off M's duals (`finite_length_twin`)."""
     seq = _sequence_for(module, q)
     d = seq.count
     gens = seq.gens
@@ -1142,10 +1218,7 @@ def inequality_suite(module: GradedModule, q) -> tuple:
             "pass" if (genus == 0) == drep.holds else "fail",
             {"genus": genus, "d_sequence": drep.holds}))
     if d >= 1:
-        inner = present_subquotient(
-            module.algebra, module.ideal_multiples(list(gens)),
-            module.relations, module.ambient)
-        bound = hdeg(inner, gens) + seq.covolume()
+        bound = finite_length_twin(module, gens, "QM")[0] + seq.covolume()
         checks.append(CheckResult(
             "degree subadditivity along the parameter filtration",
             "pass" if h <= bound else "fail",
@@ -1206,48 +1279,27 @@ def _superficial_transfer(module, seq, c) -> CheckResult:
 def _section_transfer(module, seq, c) -> CheckResult:
     """The torsion-bound equality holds for the module exactly when it
     holds after removing the finite sections and the parameter multiples
-    miss them."""
-    d = seq.count
+    miss them.  M/H⁰(M)'s hdeg and torsion come off M's duals
+    (`finite_length_twin`), and the miss off HS(H⁰(QM))."""
     gens = seq.gens
     e = c.e
     eq_m = (seq.covolume() - e[0] + e[1]
             == hdeg(module, gens) - e[0] - torsion(module, gens, 1))
-    h0b = module.h0_submodule()
-    chopped = module.quotient_by_submodule(h0b)
+    chopped = module.quotient_by_submodule(module.h0_submodule())
     if chopped.is_zero():
         return CheckResult("equality transfer past the finite sections",
                            "skipped", {"reason": "nothing left after the "
                                        "finite sections"})
     cc = module_coefficients(chopped, gens)
     cov = covolume(chopped, gens)
-    eq_c = (cov - cc.e[0] + cc.e[1]
-            == hdeg(chopped, gens) - cc.e[0] - torsion(chopped, gens, 1))
-    trivial = _meet_is_relations(module, module.power_submodule(gens), h0b)
+    h, t1 = finite_length_twin(module, gens, "M/H0")
+    eq_c = cov - cc.e[0] + cc.e[1] == h - cc.e[0] - t1
+    trivial = not _multiples_sections_series(module, gens)
     return CheckResult(
         "equality transfer past the finite sections",
         "pass" if eq_m == (eq_c and trivial) else "fail",
         {"equality": eq_m, "chopped equality": eq_c,
          "intersection trivial": trivial})
-
-
-def _meet_is_relations(module: GradedModule, first, second) -> bool:
-    """Whether two submodules containing the relations N meet in N alone.
-    The intersection contains N, so it is N exactly when F modulo it has
-    the series of F/N, and HS(F/(A ∩ B)) = HS(F/A) + HS(F/B) - HS(F/(A + B))
-    by the exact sequence 0 -> F/(A ∩ B) -> F/A ⊕ F/B -> F/(A + B) -> 0.
-    One basis of A + B, with A's as its prefix; under --verify-gb the
-    intersection is built too, and the two must agree."""
-    both = groebner_basis(module.ambient, list(first.gb) + list(second.gb),
-                          assume_reduced_prefix=len(first.gb))
-    trivial = combine_series(
-        (1, 0, hilbert_series(first)), (1, 0, hilbert_series(second)),
-        (-1, 0, hilbert_series(both))) == hilbert_series(module.relations)
-    if (debug_verification_enabled() and trivial
-            != module.relations.contains_all(
-                submodule_intersect(first, second).gb)):
-        raise CrossCheckFailure(
-            "the intersection series and the intersection disagree")
-    return trivial
 
 
 # -- the aggregate ------------------------------------------------------------

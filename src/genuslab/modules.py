@@ -310,7 +310,7 @@ def module_from_matrix(algebra: GradedAlgebra, rows, row_twists=None) -> GradedM
 
 def minimal_picks(gens, bottom: SubmoduleBasis) -> list:
     """The gens that form a basis of (⟨gens⟩ + B)/(m·⟨gens⟩ + B) for the
-    submodule B = bottom, in their given order: a minimal generating set of
+    submodule B = bottom, in the order tried: a minimal generating set of
     (⟨gens⟩ + B)/B chosen among the gens (Nakayama).
 
     One Buchberger run seeded with B's reduced basis decides every pick
@@ -325,12 +325,11 @@ def minimal_picks(gens, bottom: SubmoduleBasis) -> list:
     regenerate ⟨gens⟩ + B."""
     ambient, prefix = bottom.ambient, len(bottom.gb)
     run = BuchbergerState(ambient, bottom.gb, assume_reduced_prefix=prefix)
-    kept = set()
-    for i in sorted(range(len(gens)), key=lambda i: gens[i].degree):
-        run.process(until=gens[i].degree)
-        if run.insert(gens[i]):
-            kept.add(i)
-    picked = [g for i, g in enumerate(gens) if i in kept]
+    picked = []
+    for g in sorted(gens, key=lambda g: g.degree):
+        run.process(until=g.degree)
+        if run.insert(g):
+            picked.append(g)
     if debug_verification_enabled() and not groebner_basis(
             ambient, list(bottom.gb) + picked,
             assume_reduced_prefix=prefix).contains_all(gens):
@@ -342,13 +341,14 @@ def minimal_picks(gens, bottom: SubmoduleBasis) -> list:
 def present_subquotient(algebra: GradedAlgebra, gens, bottom: SubmoduleBasis,
                         ambient: FreeModule) -> GradedModule:
     """The module (gens + bottom)/bottom, presented on the `minimal_picks`
-    of the nonzero gens modulo bottom, the last gen of a degree tried
-    first, so no relation has a unit entry; the zero module when nothing is
-    picked.  Requires the quotient to be killed by the defining ideal, as
-    when bottom contains I·ambient or for cohomology of dualized
-    resolutions (killed by the annihilator): the kernel then picks up the
-    ideal action on its own."""
-    picked = minimal_picks([g for g in gens if g][::-1], bottom)[::-1]
+    of the nonzero gens modulo bottom, in their given order, the last gen
+    of a degree tried first, so no relation has a unit entry; the zero
+    module when nothing is picked.  Requires the quotient to be killed by
+    the defining ideal, as when bottom contains I·ambient or for cohomology
+    of dualized resolutions (killed by the annihilator): the kernel then
+    picks up the ideal action on its own."""
+    kept = {id(g) for g in minimal_picks([g for g in gens if g][::-1], bottom)}
+    picked = [g for g in gens if id(g) in kept]
     if not picked:
         return zero_module(algebra)
     degs = [g.degree for g in picked]

@@ -19,12 +19,17 @@ picked minimal generators modulo the bottom first, and
 `reference_ext_module` is the route `ext_module` took with the two: all of
 ker d_i^T presented over im d_(i-1)^T, then units eliminated.  The tests
 require the same twists and relation bases from the engine and from these.
+`reference_multiples_hdeg` and `reference_sections_quotient_degrees` take
+hdeg of QM, and hdeg and the first torsion of M/H⁰(M), by resolving and
+dualizing each module itself, as the inequality battery did before it
+read them off M's own duals.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure
 from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
 from genuslab.homology import _transpose, free_resolution
-from genuslab.modules import GradedModule, zero_module
+from genuslab.invariants import hdeg, torsion
+from genuslab.modules import GradedModule, present_subquotient, zero_module
 from genuslab.ring import (FreeElement, FreeModule, poly_in_position,
                            poly_times_element)
 
@@ -219,3 +224,19 @@ def reference_ext_module(module, i):
     top, bottom, fi_star = ext_cycles_and_boundaries(module, i)
     return reference_minimal_presentation(reference_present_subquotient(
         module.algebra, top, bottom, fi_star))
+
+
+def reference_multiples_hdeg(module, gens):
+    """hdeg(QM) of the module QM presented on its own, then resolved."""
+    inner = present_subquotient(module.algebra,
+                                module.ideal_multiples(list(gens)),
+                                module.relations, module.ambient)
+    return hdeg(inner, gens)
+
+
+def reference_sections_quotient_degrees(module, gens):
+    """(hdeg, first torsion) of M/H⁰(M) built and resolved on its own; the
+    torsion is None below dimension 2."""
+    chopped = module.quotient_by_submodule(module.h0_submodule())
+    return (hdeg(chopped, gens),
+            torsion(chopped, gens, 1) if len(gens) >= 2 else None)

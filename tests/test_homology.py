@@ -20,6 +20,7 @@ from genuslab.ring import (FreeElement, FreeModule, Polynomial, PolyRing,
 
 from reference import (ext_cycles_and_boundaries, reference_ext_module,
                        reference_minimal_presentation,
+                       reference_present_subquotient,
                        verify_resolution_exactness)
 
 
@@ -169,6 +170,24 @@ def test_minimal_presentation_matches_the_reference_on_example44_duals(lm):
     _assert_ext_matches_the_reference(module)
     for ds in dual_sections(module):
         _assert_ext_matches_the_reference(ds.module)
+
+
+def test_presentation_tries_the_last_gen_of_a_degree_first():
+    # Z = <e1, a, b> with a = e2 and b = e2 + x·e1 in F = S ⊕ S(-1) over
+    # k[x,y], B = <y·e2>: a and b have degree 1 and agree modulo m·Z, so one
+    # of them is picked.  The route the picks replaced eliminates the first
+    # unit position, a, and keeps b; trying a first would present on a,
+    # with the relation y·e_a in place of y·e_b - xy·e_1
+    A, (x, y) = algebra("xy")
+    F = FreeModule(A.ring, (0, 1))
+    e1, a = F.generator(0), F.generator(1)
+    gens = [e1, a, a + poly_times_element(x, e1)]
+    bottom = groebner_basis(F, [poly_times_element(y, a)])
+    got = present_subquotient(A, gens, bottom, F)
+    want = reference_minimal_presentation(
+        reference_present_subquotient(A, gens, bottom, F))
+    assert got.twists == want.twists == (0, 1)
+    assert got.relations == want.relations
 
 
 def test_verify_compositions_rejects_maps_that_do_not_compose_to_zero():

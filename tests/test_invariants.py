@@ -8,14 +8,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genuslab import invariants, modules
-from genuslab.corpus import build_example42, random_instance
+from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              InfiniteLength, NoStabilization,
                              NotFoundWithinBudget, NotGeneralizedCM,
                              PreconditionViolation)
 from genuslab.groebner import (NEG_INF, SubmoduleBasis, hilbert_series,
                                quotient_total_length, set_debug_verification)
-from genuslab.homology import dual_sections
+from genuslab.homology import dual_sections, ext_module
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  _graded_engine, _graded_superficial,
                                  _not_annihilating, _windowed_superficial,
@@ -32,6 +32,9 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
                               submodule_colon, submodule_intersect)
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, binomial,
                            poly_in_position, poly_times_element)
+
+from reference import (reference_multiples_hdeg,
+                       reference_sections_quotient_degrees)
 
 
 def algebra(names, relations=(), p=32003):
@@ -990,6 +993,122 @@ def test_inequality_suite_split_summand():
     S = A.cyclic_module()
     M = S.direct_sum(S.quotient_by_ideal([x, y]))
     assert suite_has_no_failures(inequality_suite(M, (x, y)))
+
+
+# -- QM and M/H⁰(M) off M's own duals -----------------------------------------
+
+def _split_summand():
+    # S ⊕ k over k[x,y]: dimension 2 with H⁰ = k
+    A, (x, y) = algebra("xy")
+    S = A.cyclic_module()
+    M = S.direct_sum(S.quotient_by_ideal([x, y]))
+    return M, ParameterSequence(M, [x, y])
+
+
+def _plane_with_embedded_point():
+    # k[x,y,z]/(x^2, xy, xz): dimension 2, H⁰ = (x)
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y,
+                                   lambda x, y, z: x * z])
+    M = A.cyclic_module()
+    return M, ParameterSequence(M, [y, z])
+
+
+def _example44(lm):
+    seq = build_example44(*lm)[1]
+    return seq.module, seq
+
+
+_TWIN_CASES = ([(lambda s=s: random_instance(s)) for s in range(40)]
+               + [lambda: _example44((2, 2)), lambda: _example44((3, 1)),
+                  _split_summand, _plane_with_embedded_point])
+_TWIN_IDS = ([f"random{s}" for s in range(40)]
+             + ["example44-22", "example44-31", "split-summand",
+                "embedded-point"])
+
+
+@pytest.mark.parametrize("build", _TWIN_CASES, ids=_TWIN_IDS)
+def test_finite_length_twin_matches_the_resolved_modules(build):
+    # hdeg of QM, and hdeg and the first torsion of M/H⁰(M), read off M's
+    # duals equal the values from resolving and dualizing each module
+    module, seq = build()
+    gens, d = seq.gens, seq.count
+    assert (invariants.finite_length_twin(module, gens, "QM")
+            == (reference_multiples_hdeg(module, gens), None))
+    if d >= 2:
+        assert (invariants.finite_length_twin(module, gens, "M/H0")
+                == reference_sections_quotient_degrees(module, gens))
+
+
+def test_finite_length_twin_cases_cover_every_path():
+    # d = 1 and d >= 2, a D_1(QM) of finite length and one of positive
+    # dimension (the one presented dual), H⁰(QM) zero and nonzero, and
+    # M/H⁰(M) with H⁰(M) nonzero in dimension 2
+    seen = set()
+    for build in _TWIN_CASES:
+        module, seq = build()
+        n, d = module.algebra.ring.nvars, seq.count
+        shape = [min(d, 2), bool(invariants._multiples_sections_series(
+            module, seq.gens))]
+        if d >= 2:
+            qm = present_subquotient(
+                module.algebra, module.ideal_multiples(list(seq.gens)),
+                module.relations, module.ambient)
+            shape.append(ext_module(qm, n - 1).dimension() > 0)
+            shape.append(module.h0_length() > 0)
+        seen.add(tuple(shape))
+    assert {s[0] for s in seen} == {1, 2}
+    assert {s[1] for s in seen if s[0] == 1} == {False, True}
+    assert {s[2] for s in seen if s[0] == 2} == {False, True}
+    assert {s[3] for s in seen if s[0] == 2} == {False, True}
+
+
+@pytest.mark.parametrize("build", _TWIN_CASES, ids=_TWIN_IDS)
+def test_hdeg_drops_by_the_finite_sections(build):
+    # hdeg(M) = hdeg(M/H⁰M) + ℓ(H⁰M) for d >= 1 (Vasconcelos 1998), with
+    # M/H⁰(M) resolved on its own
+    module, seq = build()
+    chopped = reference_sections_quotient_degrees(module, seq.gens)[0]
+    assert hdeg(module, seq.gens) == chopped + module.h0_length()
+
+
+def _shifted_sections(monkeypatch):
+    # add t^3·(1-t)^n to the H⁰(QM) series: a wrong E_n(QM) of the right
+    # length
+    real = invariants._multiples_sections_series
+
+    def wrong(module, gens):
+        n = module.algebra.ring.nvars
+        extra = {3 + k: (-1) ** k * binomial(n, k) for k in range(n + 1)}
+        return invariants.combine_series((1, 0, real(module, gens)),
+                                         (1, 0, extra))
+    monkeypatch.setattr(invariants, "_multiples_sections_series", wrong)
+
+
+def _longer_sections(monkeypatch):
+    # ℓ(H) one too large
+    real = invariants.series_length
+    monkeypatch.setattr(invariants, "series_length",
+                        lambda num, n: real(num, n) + 1)
+
+
+@pytest.mark.parametrize("fault", [_shifted_sections, _longer_sections],
+                         ids=["E_n", "length"])
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify-gb"])
+def test_verify_gb_catches_a_wrong_multiples_dual(monkeypatch, fault,
+                                                  verify):
+    # a plain run cannot tell; under --verify-gb QM is resolved too
+    module, seq = random_instance(0)
+    fault(monkeypatch)
+    set_debug_verification(verify)
+    try:
+        if verify:
+            with pytest.raises(CrossCheckFailure, match="finite_length_twin"):
+                invariants.finite_length_twin(module, seq.gens, "QM")
+        else:
+            invariants.finite_length_twin(module, seq.gens, "QM")
+    finally:
+        set_debug_verification(False)
 
 
 # -- the aggregate ------------------------------------------------------------
