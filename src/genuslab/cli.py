@@ -6,13 +6,11 @@ exception inside a command, reported as a structured error.  Reports go to
 stdout in canonical JSON (or the CSV projection); diagnostics go to stderr.
 """
 
-import argparse
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import groebner, invariants
 from .corpus import (InstanceDescriptor, build_example42, build_example44,
@@ -36,14 +34,16 @@ EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
 
-@dataclass
 class RunFlags:
-    seed: int = 0
-    max_n: int = None
-    fmt: str = "json"
-    budget: int = 24
-    verify_gb: bool = False
-    no_timings: bool = False
+    def __init__(self, seed: int = 0, max_n: int = None, fmt: str = "json",
+                 budget: int = 24, verify_gb: bool = False,
+                 no_timings: bool = False):
+        self.seed = seed
+        self.max_n = max_n
+        self.fmt = fmt
+        self.budget = budget
+        self.verify_gb = verify_gb
+        self.no_timings = no_timings
 
 
 @contextmanager
@@ -291,8 +291,7 @@ def config_to_grid(config: dict, prime: int = DEFAULT_PRIME) -> tuple:
     if isinstance(seeds, int):
         seeds = range(seeds)
     for s in seeds:
-        grid.append(InstanceDescriptor("random", {"seed": int(s),
-                                                  "prime": prime}))
+        grid.append(_descriptor_for("random", [int(s)], prime))
     return tuple(grid)
 
 
@@ -303,26 +302,27 @@ def _resolve_seed(value) -> int:
     return int(env) if env else 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low, else a usage error."""
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
-    return parse
+def _build_parser():
+    import argparse  # the command line only: run() never needs it
 
+    def at_least(low: int):
+        """An integer no smaller than low, else a usage error."""
+        def parse(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least {low}, got {value}")
+            return value
+        parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+        return parse
 
-def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None,
                         help="search seed (default: GENUSLAB_SEED or 0)")
-    shared.add_argument("--max-n", type=_int_at_least(0), default=None,
+    shared.add_argument("--max-n", type=at_least(0), default=None,
                         metavar="N", help="cap every length table at degree N")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--budget", type=_int_at_least(1), default=24,
+    shared.add_argument("--budget", type=at_least(1), default=24,
                         help="attempt budget for the d-sequence search")
     shared.add_argument("--verify-gb", action="store_true",
                         help="re-verify every completed basis (slow)")
@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "default is the standing grid")
     corpus_p.add_argument("--config", metavar="FILE",
                           help="JSON grid description")
-    corpus_p.add_argument("--random-seeds", type=_int_at_least(0), default=50,
+    corpus_p.add_argument("--random-seeds", type=at_least(0), default=50,
                           help="random block size of the standing grid")
     return parser
 

@@ -6,20 +6,19 @@ a hypersurface, a square-zero extension), plus a deterministic monomial
 instance generator for property suites.
 """
 import random
-from dataclasses import dataclass, field
 
 from .errors import CrossCheckFailure, GenerationFailure, PreconditionViolation
 from .invariants import CheckResult, covolume, multiplicity
 from .modules import GradedAlgebra, GradedModule, ParameterSequence, \
     idealization, module_from_matrix
-from .ring import Polynomial, PolyRing, binomial
+from .ring import Polynomial, PolyRing, Record, binomial
 
 
-@dataclass
 class InstanceDescriptor:
-    family: str
-    params: dict
-    expected: dict = field(default_factory=dict)
+    def __init__(self, family: str, params: dict, expected: dict = None):
+        self.family = family
+        self.params = params
+        self.expected = {} if expected is None else expected
 
     @property
     def instance_id(self) -> str:
@@ -108,8 +107,7 @@ def build_prop41_instance(p: int = 32003):
     return A, ParameterSequence(A.cyclic_module(), q)
 
 
-@dataclass(frozen=True)
-class UlrichReport:
+class UlrichReport(Record):
     checks: tuple
 
     @property

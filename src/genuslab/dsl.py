@@ -8,16 +8,20 @@ position before anything runs.  ``print_session`` regenerates canonical text;
 parse -> print -> parse is the identity on the statement list.
 """
 
-from dataclasses import dataclass, field
+import re
 
 from .errors import HomogeneityViolation, ParseError, UndefinedName
 from .modules import GradedAlgebra, GradedModule, module_from_matrix
-from .ring import DEFAULT_PRIME, PolyRing, Polynomial
+from .ring import DEFAULT_PRIME, PolyRing, Polynomial, Record
 
 
 # ---------------------------------------------------------------- tokens
 
-_SYMBOLS = set("=/,+-*^()[]")
+# After blanks: an integer (exactly the digits int() reads), a word, a
+# symbol, the end of the line or a comment, or any other character.
+_TOKEN = re.compile(r"[ \t]*(?:(?P<int>\d+)|(?P<name>\w+)"
+                    r"|(?P<symbol>[=/,+\-*^()[\]])|(?P<end>#|\Z)|(?P<bad>.))",
+                    re.DOTALL)
 
 CHECK_KINDS = ("thm34", "prop38", "inequalities", "ulrich")
 # family name -> (name, least accepted value or None) per integer parameter
@@ -38,43 +42,30 @@ def corpus_parameter_problem(family: str, params):
     return f"{family} needs {need}, got {got}"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name", "int", or the symbol itself
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "name", "int", or the symbol itself
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize_line(text: str, line_no: int):
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
             break
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("int", text[i:j], line_no, col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("name", text[i:j], line_no, col))
-            i = j
-        elif ch in _SYMBOLS:
-            out.append(Token(ch, ch, line_no, col))
-            i += 1
-        else:
-            raise ParseError(line_no, col, f"unexpected character {ch!r}")
+        tok = m.group(kind)
+        col = m.start(kind) + 1
+        # a name starts with a letter or "_", so a word that starts with a
+        # digit int() cannot read, such as a superscript, is an error
+        if kind == "bad" or (kind == "name" and not (tok[0].isalpha()
+                                                    or tok[0] == "_")):
+            raise ParseError(line_no, col, f"unexpected character {tok[0]!r}")
+        out.append(Token(tok if kind == "symbol" else kind, tok, line_no, col))
     return out
 
 
@@ -82,75 +73,57 @@ def _tokenize_line(text: str, line_no: int):
 # Stored as syntax so a session can be reprinted verbatim; resolved against
 # a concrete ring on demand.
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: int
 
 
-def _prec(node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, Mul):
-        return 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return 5
+# how tightly each node binds; a name or a number binds tightest (5)
+_PREC = {Add: 1, Sub: 1, Mul: 2, Neg: 3, Pow: 4}
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
 
 
 def expr_text(node, min_prec: int = 1) -> str:
+    prec = _PREC.get(type(node), 5)
     if isinstance(node, Var):
         body = node.name
     elif isinstance(node, Num):
         body = str(node.value)
-    elif isinstance(node, Add):
-        body = f"{expr_text(node.left, 1)} + {expr_text(node.right, 2)}"
-    elif isinstance(node, Sub):
-        body = f"{expr_text(node.left, 1)} - {expr_text(node.right, 2)}"
-    elif isinstance(node, Mul):
-        body = f"{expr_text(node.left, 2)}*{expr_text(node.right, 3)}"
+    elif type(node) in _INFIX:
+        body = (expr_text(node.left, prec) + _INFIX[type(node)]
+                + expr_text(node.right, prec + 1))
     elif isinstance(node, Neg):
         body = f"-{expr_text(node.arg, 3)}"
     else:
         body = f"{expr_text(node.base, 5)}^{node.exponent}"
-    if _prec(node) < min_prec:
-        return f"({body})"
-    return body
+    return f"({body})" if prec < min_prec else body
 
 
 def resolve_expr(node, ring: PolyRing, line: int) -> Polynomial:
@@ -182,59 +155,50 @@ def resolve_expr(node, ring: PolyRing, line: int) -> Polynomial:
 
 # ------------------------------------------------------------ statements
 
-@dataclass(frozen=True)
-class PrimeDecl:
+class PrimeDecl(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class RingDecl:
+class RingDecl(Record):
     name: str
     variables: tuple
 
 
-@dataclass(frozen=True)
-class IdealDecl:
+class IdealDecl(Record):
     name: str
     polys: tuple
 
 
-@dataclass(frozen=True)
-class AlgebraDecl:
+class AlgebraDecl(Record):
     name: str
     ring_name: str
     ideal_name: str
 
 
-@dataclass(frozen=True)
-class ModuleDecl:
+class ModuleDecl(Record):
     name: str
     algebra_name: str
     twists: tuple  # empty means all zero
     rows: tuple    # tuple of tuples of expressions
 
 
-@dataclass(frozen=True)
-class SequenceDecl:
+class SequenceDecl(Record):
     name: str
     polys: tuple
 
 
-@dataclass(frozen=True)
-class ComputeCmd:
+class ComputeCmd(Record):
     target: str
     sequence: str
 
 
-@dataclass(frozen=True)
-class CheckCmd:
+class CheckCmd(Record):
     kind: str
     target: str
     argument: str
 
 
-@dataclass(frozen=True)
-class CorpusCmd:
+class CorpusCmd(Record):
     family: str
     params: tuple
 
@@ -242,15 +206,15 @@ class CorpusCmd:
 COMMAND_KINDS = (ComputeCmd, CheckCmd, CorpusCmd)
 
 
-@dataclass
 class Session:
     """A parsed session: the prime, the statement list as written, and the
     fully resolved objects behind every declared name."""
 
-    prime: int = DEFAULT_PRIME
-    statements: tuple = ()
-    env: dict = field(default_factory=dict)
-    _cyclic: dict = field(default_factory=dict)
+    def __init__(self):
+        self.prime = DEFAULT_PRIME
+        self.statements = ()
+        self.env = {}
+        self._cyclic = {}
 
     @property
     def commands(self) -> tuple:
@@ -309,6 +273,12 @@ class _LineParser:
     def name(self) -> str:
         return self.take("name").text
 
+    def keyword(self, word: str):
+        tok = self.take("name")
+        if tok.text != word:
+            raise ParseError(self.line, tok.col,
+                             f"expected the keyword {word!r}")
+
     def integer(self) -> int:
         if self.peek() and self.peek().kind == "-":
             self.take("-")
@@ -325,9 +295,8 @@ class _LineParser:
     def expression(self):
         node = self.product()
         while self.peek() and self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.product()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            op = Add if self.take().kind == "+" else Sub
+            node = op(node, self.product())
         return node
 
     def product(self):
@@ -347,19 +316,16 @@ class _LineParser:
         node = self.atom()
         if self.peek() and self.peek().kind == "^":
             self.take("^")
-            exp = int(self.take("int").text)
-            node = Pow(node, exp)
+            node = Pow(node, int(self.take("int").text))
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok is None:
-            self._fail(("a name", "a number", "("))
-        if tok.kind == "name":
+        kind = self.peek().kind if self.peek() else None
+        if kind == "name":
             return Var(self.take().text)
-        if tok.kind == "int":
+        if kind == "int":
             return Num(int(self.take().text))
-        if tok.kind == "(":
+        if kind == "(":
             self.take("(")
             node = self.expression()
             self.take(")")
@@ -408,8 +374,7 @@ class _SessionParser:
         if head == "ring":
             name = p.name()
             p.take("=")
-            if p.take("name").text != "vars":
-                self._kw_fail(p, "vars")
+            p.keyword("vars")
             variables = [p.name()]
             while p.peek() and p.peek().kind == "name":
                 variables.append(p.name())
@@ -421,15 +386,15 @@ class _SessionParser:
             self.declare(name, "ring", ring, line)
             self.scope_ring = ring
             return RingDecl(name, tuple(variables))
-        if head == "ideal":
+        if head in ("ideal", "sequence"):
             name = p.name()
             p.take("=")
             exprs = p.expression_list()
             p.done()
             ring = self.current_ring(line)
             polys = tuple(resolve_expr(e, ring, line) for e in exprs)
-            self.declare(name, "ideal", polys, line)
-            return IdealDecl(name, exprs)
+            self.declare(name, head, polys, line)
+            return (IdealDecl if head == "ideal" else SequenceDecl)(name, exprs)
         if head == "algebra":
             name = p.name()
             p.take("=")
@@ -443,18 +408,8 @@ class _SessionParser:
             return AlgebraDecl(name, ring_name, ideal_name)
         if head == "module":
             return self.module_statement(p, line)
-        if head == "sequence":
-            name = p.name()
-            p.take("=")
-            exprs = p.expression_list()
-            p.done()
-            ring = self.current_ring(line)
-            polys = tuple(resolve_expr(e, ring, line) for e in exprs)
-            self.declare(name, "sequence", polys, line)
-            return SequenceDecl(name, exprs)
         if head == "compute":
-            if p.take("name").text != "invariants":
-                self._kw_fail(p, "invariants")
+            p.keyword("invariants")
             target = p.name()
             seq = p.name()
             p.done()
@@ -488,16 +443,10 @@ class _SessionParser:
             return CorpusCmd(family, params)
         raise ParseError(line, 1, f"unknown statement {head!r}")
 
-    def _kw_fail(self, p, keyword):
-        prev = p.tokens[p.pos - 1]
-        raise ParseError(p.line, prev.col,
-                         f"expected the keyword {keyword!r}")
-
     def module_statement(self, p: _LineParser, line: int):
         name = p.name()
         p.take("=")
-        if p.take("name").text != "coker":
-            self._kw_fail(p, "coker")
+        p.keyword("coker")
         algebra_name = p.name()
         algebra = self.session.lookup(algebra_name, ("algebra",), line)
         twists = ()
@@ -562,8 +511,9 @@ def _statement_text(stmt) -> str:
         return f"prime {stmt.value}"
     if isinstance(stmt, RingDecl):
         return f"ring {stmt.name} = vars {' '.join(stmt.variables)}"
-    if isinstance(stmt, IdealDecl):
-        return (f"ideal {stmt.name} = "
+    if isinstance(stmt, (IdealDecl, SequenceDecl)):
+        head = "ideal" if isinstance(stmt, IdealDecl) else "sequence"
+        return (f"{head} {stmt.name} = "
                 + ", ".join(expr_text(e) for e in stmt.polys))
     if isinstance(stmt, AlgebraDecl):
         return f"algebra {stmt.name} = {stmt.ring_name} / {stmt.ideal_name}"
@@ -576,9 +526,6 @@ def _statement_text(stmt) -> str:
             for row in stmt.rows)
         parts.append(f"[{rows}]")
         return " ".join(parts)
-    if isinstance(stmt, SequenceDecl):
-        return (f"sequence {stmt.name} = "
-                + ", ".join(expr_text(e) for e in stmt.polys))
     if isinstance(stmt, ComputeCmd):
         return f"compute invariants {stmt.target} {stmt.sequence}"
     if isinstance(stmt, CheckCmd):

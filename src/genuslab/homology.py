@@ -23,7 +23,6 @@ uniform twist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CrossCheckFailure, ZeroModule
 from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
@@ -31,7 +30,7 @@ from .groebner import (NEG_INF, SubmoduleBasis, combine_series,
                        hilbert_series, kernel_of_map, series_length)
 from .modules import (GradedModule, embed, minimal_picks, present_subquotient,
                       zero_module)
-from .ring import FreeElement, FreeModule, mono_mul
+from .ring import FreeElement, FreeModule, Record, mono_mul
 
 
 def apply_columns(cols, v: FreeElement, target: FreeModule) -> FreeElement:
@@ -176,8 +175,7 @@ def ext_module(module: GradedModule, i: int) -> GradedModule:
     return module._memo(("ext", i), build)
 
 
-@dataclass(frozen=True)
-class DualSection:
+class DualSection(Record):
     """One graded dual of local cohomology: index j carries the dual of the
     j-th cohomology, finite-length iff that cohomology is finitely
     generated."""

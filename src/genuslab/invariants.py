@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import random
 from math import prod
-from dataclasses import dataclass, field
 
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
@@ -64,8 +63,9 @@ from .modules import (GradedModule, ParameterSequence, _as_poly_list,
                       present_subquotient, submodule_colon,
                       submodule_intersect, substitute_element,
                       substitute_linear)
-from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, binomial,
-                   mono_divides, poly_in_position, poly_times_element)
+from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, Record,
+                   binomial, mono_divides, poly_in_position,
+                   poly_times_element)
 
 TABLE_CAP = 64
 
@@ -265,11 +265,10 @@ def _engine(module: GradedModule, gens) -> _TableEngine:
                         lambda: _TableEngine(module, gens))
 
 
-@dataclass(frozen=True)
-class LengthTable:
+class LengthTable(Record):
     """values[n] = ℓ(M/Q^{n+1}M); grown on demand through the source."""
     values: tuple
-    _grow: object = field(default=None, repr=False, compare=False)
+    _grow: object = None
 
     @property
     def top(self) -> int:
@@ -293,8 +292,7 @@ def hilbert_samuel_table(module: GradedModule, q, top: int = None) -> LengthTabl
 
 # -- coefficient extraction ---------------------------------------------------
 
-@dataclass(frozen=True)
-class HilbertCoefficients:
+class HilbertCoefficients(Record):
     """Signed coefficients e[0..s] of the length polynomial, plus the least
     table index from which the polynomial provably agrees."""
     e: tuple
@@ -591,19 +589,17 @@ def sv_invariant(module: GradedModule) -> int:
 
 # -- element tests ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     status: str  # pass | fail | skipped
-    details: dict = field(default_factory=dict)
+    details: dict = dict
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
 
 
-@dataclass(frozen=True)
-class SuperficialityReport:
+class SuperficialityReport(Record):
     status: str  # verified | refuted | inconclusive
     window_start: int = None
     colon_length: int = None
@@ -842,8 +838,7 @@ def is_superficial(a, module: GradedModule, q) -> SuperficialityReport:
                                 colon_length=length0)
 
 
-@dataclass(frozen=True)
-class DSequenceReport:
+class DSequenceReport(Record):
     holds: bool
     violation: tuple = None  # (i, j) on failure, 1-based
     witness: str = None
@@ -998,8 +993,7 @@ def find_d_sequence_generators(q, module: GradedModule, budget: int = 24,
 
 # -- checkers -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DSequenceCoefficientReport:
+class DSequenceCoefficientReport(Record):
     coefficients: tuple
     checks: tuple
 
@@ -1060,8 +1054,7 @@ def check_prop38(module: GradedModule, seq) -> DSequenceCoefficientReport:
     return DSequenceCoefficientReport(e, tuple(checks))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     lhs: int
     rhs: int
     equality: bool
@@ -1304,8 +1297,7 @@ def _section_transfer(module, seq, c) -> CheckResult:
 
 # -- the aggregate ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     dimension: int
     depth: int
     covolume: int

@@ -6,7 +6,6 @@ indentation, one trailing newline.  The CSV format is a flat numeric
 projection of the same reports, one line per instance.
 """
 
-import csv
 import io
 import json
 
@@ -143,6 +142,7 @@ def _csv_cell(report: dict, column: str):
 def to_csv(reports) -> str:
     """Flat numeric projection: one line per command report, fixed columns,
     blank cells where a field does not apply."""
+    import csv  # only this projection needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -14,7 +14,7 @@ hands back tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import add, attrgetter, sub
 
 from .errors import HomogeneityViolation
 
@@ -51,7 +51,7 @@ def mono_deg(e: Exps) -> int:
 
 
 def mono_mul(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exps, b: Exps) -> bool:
@@ -64,7 +64,7 @@ def mono_divides(a: Exps, b: Exps) -> bool:
 
 def mono_div(a: Exps, b: Exps) -> Exps:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
@@ -76,18 +76,84 @@ def degrevlex_key(e: Exps):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+# -- value records ------------------------------------------------------------
+
+_set = object.__setattr__
+_FACTORY = object()  # the parameter default of a field with a factory
+
+
+class FrozenRecordError(AttributeError):
+    """A field of a Record was assigned or deleted."""
+
+
+class _RecordType(type):
+    """The annotated names of a Record body are its fields, kept in
+    __slots__; a value in the body is the field's default, and a callable
+    one a factory called per instance.  Unless the body defines __init__,
+    one is compiled as straight-line code: records are built on the pass
+    path, where a loop over the fields would cost more per instance."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        scope = {"_set": _set, "_FACTORY": _FACTORY}
+        params, body = ["self"], []
+        for f in fields:
+            param = value = f
+            if f in ns:
+                scope["_" + f] = default = ns.pop(f)
+                param = f"{f}=_{f}"
+                if callable(default):
+                    param = f"{f}=_FACTORY"
+                    value = f"_{f}() if {f} is _FACTORY else {f}"
+            params.append(param)
+            body.append(f"_set(self, {f!r}, {value})")
+        cls = super().__new__(mcls, name, bases, dict(ns, __slots__=fields))
+        if fields:
+            cls._shown = tuple(f for f in fields if not f.startswith("_"))
+            cls._key = attrgetter(*cls._shown)
+            if "__init__" not in ns:
+                exec(f"def __init__({', '.join(params)}):\n    "
+                     + "\n    ".join(body), scope)
+                cls.__init__ = scope["__init__"]
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value with named fields, built by position or keyword,
+    equal to a record of the same exact type with equal fields.  A field
+    named with a leading "_" is left out of equality, hash and repr."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._shown))
+
+    def __setattr__(self, name, *value):
+        raise FrozenRecordError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class PolyRing(Record):
     """Polynomial ring k[x_1..x_n] over the prime field Z/p, standard graded."""
 
     variables: tuple
-    prime: int = DEFAULT_PRIME
+    prime: int
 
-    def __post_init__(self):
-        if not is_prime(self.prime) or self.prime == 2:
-            raise ValueError(f"coefficient modulus {self.prime} is not an odd prime")
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables: tuple, prime: int = DEFAULT_PRIME):
+        if not is_prime(prime) or prime == 2:
+            raise ValueError(f"coefficient modulus {prime} is not an odd prime")
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        _set(self, "variables", variables)
+        _set(self, "prime", prime)
 
     @property
     def nvars(self) -> int:
@@ -287,8 +353,7 @@ class Polynomial:
 
 # -- graded free modules ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeModule:
+class FreeModule(Record):
     """Graded free module with generator degrees `twists`.
 
     A term in position i with monomial m has degree deg(m) + twists[i].

@@ -23,9 +23,11 @@ require the same twists and relation bases from the engine and from these.
 hdeg of QM, and hdeg and the first torsion of M/H⁰(M), by resolving and
 dualizing each module itself, as the inequality battery did before it
 read them off M's own duals.
+`reference_tokenize_line` scans a session line one character at a time, as
+the parser did before one regular expression tokenized it.
 """
 from genuslab import oracle
-from genuslab.errors import CrossCheckFailure
+from genuslab.errors import CrossCheckFailure, ParseError
 from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
 from genuslab.homology import _transpose, free_resolution
 from genuslab.invariants import hdeg, torsion
@@ -240,3 +242,38 @@ def reference_sections_quotient_degrees(module, gens):
     chopped = module.quotient_by_submodule(module.h0_submodule())
     return (hdeg(chopped, gens),
             torsion(chopped, gens, 1) if len(gens) >= 2 else None)
+
+
+def reference_tokenize_line(text, line_no):
+    """(kind, text, line, col) for each token of one session line.  A run
+    of str.isdigit characters is an int token, so a superscript digit,
+    which int() cannot read, makes one too."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("int", text[i:j], line_no, col))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j], line_no, col))
+            i = j
+        elif ch in "=/,+-*^()[]":
+            out.append((ch, ch, line_no, col))
+            i += 1
+        else:
+            raise ParseError(line_no, col, f"unexpected character {ch!r}")
+    return out

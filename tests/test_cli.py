@@ -138,6 +138,22 @@ def test_bad_sessions_exit_two(capsys, tmp_path, text):
     assert err.strip() and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, line, col, digit", [
+    ("ring R = vars x\nideal I = x^²\n", 2, 13, "²"),
+    ("prime ³\n", 1, 7, "³"),
+])
+def test_superscript_digit_is_a_parse_error(capsys, tmp_path, text, line,
+                                            col, digit):
+    # str.isdigit accepts a superscript but int() does not
+    path = tmp_path / "superscript.ses"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = shell(capsys, ["run", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"genuslab: ParseError: line {line}, col {col}: "
+                   f"unexpected character {digit!r}\n")
+
+
 def test_wide_ring_dimension_is_computed(capsys, tmp_path):
     # seventeen variables have no cap: the dimension of k[a..q]/(a^2) is
     # computed as 16, so two parameters are a precondition error, exit 3
@@ -426,6 +442,20 @@ def test_import_does_not_load_numpy(tmp_path):
                           text=True, cwd=tmp_path, env=_child_env(),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_import_stays_light(tmp_path):
+    # what a run imports before its first command: no dataclasses (which
+    # loads inspect, ast and dis), no command-line parser, no CSV writer
+    code = ("import sys\n"
+            "from genuslab import cli, dsl, report\n"
+            "heavy = {'dataclasses', 'inspect', 'argparse', 'csv'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_engine_does_not_import_the_oracle(tmp_path):

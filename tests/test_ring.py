@@ -3,17 +3,90 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from genuslab.dsl import Add, Sub, Var
 from genuslab.errors import HomogeneityViolation
-from genuslab.ring import (DEFAULT_PRIME, FreeModule, PolyRing, Polynomial,
-                           binomial, degrevlex_key,
-                           is_prime, mono_divides, mono_lcm,
-                           poly_times_element)
+from genuslab.invariants import CheckResult, LengthTable, SuperficialityReport
+from genuslab.ring import (DEFAULT_PRIME, FreeModule, FrozenRecordError,
+                           PolyRing, Polynomial, Record, binomial,
+                           degrevlex_key, is_prime, mono_div, mono_divides,
+                           mono_lcm, mono_mul, poly_times_element)
 
 from reference import element_from_components
 
 
 def make_ring(names="xyz", p=DEFAULT_PRIME):
     return PolyRing(tuple(names), p)
+
+
+# -- records ------------------------------------------------------------------
+
+class _Pair(Record):
+    left: int
+    right: int = 0
+
+
+class _OtherPair(Record):
+    left: int
+    right: int = 0
+
+
+def test_record_equality_needs_the_same_type():
+    assert _Pair(1, 2) == _Pair(1, right=2) == _Pair(left=1, right=2)
+    assert _Pair(1) == _Pair(1, 0) and _Pair(1) != _Pair(1, 1)
+    assert _Pair(1, 2) != _OtherPair(1, 2)
+    assert Add(Var("x"), Var("y")) != Sub(Var("x"), Var("y"))
+    assert len({_Pair(1, 2), _Pair(1, 2), _OtherPair(1, 2)}) == 2
+    with pytest.raises(TypeError):
+        _Pair()
+
+
+def test_records_are_immutable():
+    assert issubclass(FrozenRecordError, AttributeError)
+    rec = _Pair(1, 2)
+    with pytest.raises(FrozenRecordError):
+        rec.left = 3
+    with pytest.raises(FrozenRecordError):
+        del rec.right
+    with pytest.raises(FrozenRecordError):
+        rec.extra = 0
+    with pytest.raises(AttributeError):
+        PolyRing(("x",)).prime = 7
+    assert not hasattr(rec, "__dict__") and rec.left == 1
+
+
+def test_record_factory_default_is_fresh_per_instance():
+    a, b = CheckResult("a", "pass"), CheckResult("a", "pass")
+    assert a.details == {} and a.details is not b.details
+    assert a == b and CheckResult("a", "pass", {"n": 1}) != a
+
+
+def test_record_repr_matches_the_dataclass_form():
+    assert repr(SuperficialityReport("verified", window_start=2)) == (
+        "SuperficialityReport(status='verified', window_start=2, "
+        "colon_length=None, witness=None)")
+    # the grow callback is left out of repr, equality and hash
+    table = LengthTable((1, 3, 6), lambda upto: (1, 3, 6, 10))
+    assert repr(table) == "LengthTable(values=(1, 3, 6))"
+    assert table == LengthTable((1, 3, 6))
+    assert hash(table) == hash(LengthTable((1, 3, 6)))
+    assert table.extended(3).values == (1, 3, 6, 10)
+
+
+def test_equal_free_modules_hash_equal():
+    a = FreeModule(make_ring(), (0, 1))
+    b = FreeModule(make_ring(), (0, 1), 0, 0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != FreeModule(make_ring(), (0, 1), elim_rank=1)
+    assert a != FreeModule(make_ring("xyw"), (0, 1))
+    assert repr(a) == (
+        "FreeModule(ring=PolyRing(variables=('x', 'y', 'z'), prime=32003), "
+        "twists=(0, 1), elim_rank=0, tangent_block=0, tangent_weight=1)")
+
+
+def test_monomial_arithmetic():
+    assert mono_mul((1, 0, 2), (0, 3, 1)) == (1, 3, 3)
+    assert mono_div((1, 3, 3), (0, 3, 1)) == (1, 0, 2)
+    assert mono_mul((), ()) == ()
 
 
 # -- integers -----------------------------------------------------------------
@@ -57,12 +130,16 @@ def test_scalar_ops_mod_7():
 
 
 def test_ring_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^coefficient modulus 6 is not an odd prime$"):
         PolyRing(("x",), 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^coefficient modulus 2 is not an odd prime$"):
         PolyRing(("x",), 2)  # odd primes only
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate variable names$"):
         PolyRing(("x", "x"), 7)
+    assert PolyRing(prime=7, variables=("x",)).prime == 7
+    assert make_ring().prime == DEFAULT_PRIME
 
 
 @given(st.integers(0, DEFAULT_PRIME - 1), st.integers(0, DEFAULT_PRIME - 1),

@@ -3,13 +3,15 @@
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genuslab.dsl import (Add, Mul, Neg, Num, Pow, Sub, Var, _LineParser,
                           _tokenize_line, expr_text, parse_session,
                           print_session)
 from genuslab.errors import HomogeneityViolation, ParseError, UndefinedName
+
+from reference import reference_tokenize_line
 
 SESSION_DIR = pathlib.Path(__file__).resolve().parent.parent / "sessions"
 
@@ -112,6 +114,58 @@ def _extend(children):
 @settings(max_examples=80, deadline=None)
 def test_expression_print_parse_identity(tree):
     assert parse_expr(expr_text(tree)) == tree
+
+
+# ---------------------------------------------------------------- tokens
+
+def _tokens(text, line_no=1):
+    return [(t.kind, t.text, t.line, t.col)
+            for t in _tokenize_line(text, line_no)]
+
+
+_line_chars = st.one_of(
+    st.sampled_from(" \t#_=/,+-*^()[]"),
+    st.sampled_from("xyzAB019"),
+    # letters, decimal digits int() reads, numerals that are no digits,
+    # a combining mark and blanks the parser does not skip
+    st.sampled_from("éßΩж中٣७０½Ⅷ\u0301\xa0\r\n.;"),
+    st.characters())
+
+
+def _unreadable_digit(ch):
+    # str.isdigit accepts it, int() does not: the character scanner made an
+    # int token of it, and the parser then crashed on int()
+    return ch.isdigit() and not ch.isdecimal()
+
+
+@given(st.text(alphabet=_line_chars, max_size=24), st.integers(1, 50))
+@settings(max_examples=400, deadline=None)
+def test_tokenizer_matches_the_character_scanner(text, line_no):
+    assume(not any(_unreadable_digit(ch) for ch in text))
+    try:
+        want = reference_tokenize_line(text, line_no)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _tokenize_line(text, line_no)
+        assert ((got.value.line, got.value.col, str(got.value))
+                == (err.line, err.col, str(err)))
+        return
+    assert _tokens(text, line_no) == want
+
+
+def test_superscript_digits_in_names_stay_names():
+    assert _tokens("x² y³_1") == reference_tokenize_line("x² y³_1", 1)
+    assert _tokens("x²") == [("name", "x²", 1, 1)]
+
+
+@pytest.mark.parametrize("text, col", [
+    ("x^²", 3), ("prime ³", 7), ("2²", 2), ("²x", 1), ("x^3 ¹", 5)])
+def test_unreadable_digit_is_an_unexpected_character(text, col):
+    with pytest.raises(ParseError) as err:
+        _tokenize_line(text, 4)
+    assert (err.value.line, err.value.col) == (4, col)
+    assert str(err.value).endswith(
+        f"unexpected character {text[col - 1]!r}")
 
 
 # --------------------------------------------------------------- rejects
