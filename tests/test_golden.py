@@ -13,9 +13,10 @@ example44 grid at 6-9 variables.  tests/golden/example44_4_2.json is that of
 `genuslab corpus example44 4 2 --no-timings`, the hdeg recursion at 10
 variables, tests/golden/example44_5_1.json that of `genuslab corpus
 example44 5 1 --no-timings`, at 11 variables, where QM has three zero
-duals, and tests/golden/example44_6_1.json that of `genuslab corpus
-example44 6 1 --no-timings`, at 13 variables.  They take seconds each, so
-CI diffs them in steps of their own instead of here.
+duals, tests/golden/example44_6_1.json that of `genuslab corpus example44 6
+1 --no-timings`, at 13 variables, and tests/golden/example44_5_2.json that
+of `genuslab corpus example44 5 2 --no-timings`, at 12 variables.  They
+take seconds each, so CI diffs them in steps of their own instead of here.
 """
 
 import json
@@ -27,7 +28,7 @@ from genuslab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS_FILES = {"corpus", "scale", "scale_grid", "example44_4_2",
-                "example44_5_1", "example44_6_1"}
+                "example44_5_1", "example44_6_1", "example44_5_2"}
 GOLDEN = sorted(p for p in (ROOT / "tests" / "golden").glob("*.json")
                 if p.stem not in CORPUS_FILES)
 
