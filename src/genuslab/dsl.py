@@ -251,9 +251,12 @@ class _LineParser:
         self.line = line_no
         self.pos = 0
 
-    def peek(self, ahead: int = 0):
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next_kind(self, ahead: int = 0):
         i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[i].kind if i < len(self.tokens) else None
 
     def _fail(self, expected):
         tok = self.peek()
@@ -280,7 +283,7 @@ class _LineParser:
                              f"expected the keyword {word!r}")
 
     def integer(self) -> int:
-        if self.peek() and self.peek().kind == "-":
+        if self.next_kind() == "-":
             self.take("-")
             return -int(self.take("int").text)
         return int(self.take("int").text)
@@ -294,33 +297,33 @@ class _LineParser:
     # expression grammar: sum of products of powers, with unary minus
     def expression(self):
         node = self.product()
-        while self.peek() and self.peek().kind in "+-":
+        while self.next_kind() in ("+", "-"):
             op = Add if self.take().kind == "+" else Sub
             node = op(node, self.product())
         return node
 
     def product(self):
         node = self.factor()
-        while self.peek() and self.peek().kind == "*":
+        while self.next_kind() == "*":
             self.take("*")
             node = Mul(node, self.factor())
         return node
 
     def factor(self):
-        if self.peek() and self.peek().kind == "-":
+        if self.next_kind() == "-":
             self.take("-")
             return Neg(self.factor())
         return self.power()
 
     def power(self):
         node = self.atom()
-        if self.peek() and self.peek().kind == "^":
+        if self.next_kind() == "^":
             self.take("^")
             node = Pow(node, int(self.take("int").text))
         return node
 
     def atom(self):
-        kind = self.peek().kind if self.peek() else None
+        kind = self.next_kind()
         if kind == "name":
             return Var(self.take().text)
         if kind == "int":
@@ -334,7 +337,7 @@ class _LineParser:
 
     def expression_list(self) -> tuple:
         out = [self.expression()]
-        while self.peek() and self.peek().kind == ",":
+        while self.next_kind() == ",":
             self.take(",")
             out.append(self.expression())
         return tuple(out)
@@ -376,7 +379,7 @@ class _SessionParser:
             p.take("=")
             p.keyword("vars")
             variables = [p.name()]
-            while p.peek() and p.peek().kind == "name":
+            while p.next_kind() == "name":
                 variables.append(p.name())
             p.done()
             try:
@@ -451,11 +454,10 @@ class _SessionParser:
         algebra = self.session.lookup(algebra_name, ("algebra",), line)
         twists = ()
         # a single bracket opens the twist list, a double bracket the matrix
-        if (p.peek() and p.peek().kind == "["
-                and not (p.peek(1) and p.peek(1).kind == "[")):
+        if p.next_kind() == "[" and p.next_kind(1) != "[":
             p.take("[")
             tw = []
-            while p.peek() and p.peek().kind != "]":
+            while p.next_kind() not in (None, "]"):
                 tw.append(p.integer())
             p.take("]")
             twists = tuple(tw)
@@ -465,7 +467,7 @@ class _SessionParser:
             p.take("[")
             rows.append(p.expression_list())
             p.take("]")
-            if p.peek() and p.peek().kind == ",":
+            if p.next_kind() == ",":
                 p.take(",")
                 continue
             break

@@ -422,12 +422,13 @@ class SubmoduleBasis:
     submodules iff their gb tuples match.
     """
 
-    __slots__ = ("ambient", "gb", "_index")
+    __slots__ = ("ambient", "gb", "_index", "_series")
 
     def __init__(self, ambient: FreeModule, gb):
         self.ambient = ambient
         self.gb = tuple(gb)
         self._index = None
+        self._series = None
 
     @classmethod
     def zero(cls, ambient: FreeModule) -> "SubmoduleBasis":
@@ -664,14 +665,18 @@ def count_standard_monomials(leads, n: int, d: int) -> int:
 def hilbert_series(basis: SubmoduleBasis) -> dict:
     """Numerator over (1-t)^nvars of the Hilbert series of ambient/basis:
     the per-position numerators of the lead monomials, shifted by the
-    twists and summed.  A fresh dict on each call."""
-    n = basis.ambient.ring.nvars
-    leads = basis.leads_by_position()
-    out = {}
-    for pos, twist in enumerate(basis.ambient.twists):
-        for j, c in _hilbert_numerator(tuple(leads.get(pos, ())), n).items():
-            out[j + twist] = out.get(j + twist, 0) + c
-    return {j: c for j, c in out.items() if c}
+    twists and summed.  Assembled once per basis and kept on it; every
+    call returns a fresh copy, so a caller may change what it gets."""
+    if basis._series is None:
+        n = basis.ambient.ring.nvars
+        leads = basis.leads_by_position()
+        out = {}
+        for pos, twist in enumerate(basis.ambient.twists):
+            for j, c in _hilbert_numerator(tuple(leads.get(pos, ())),
+                                           n).items():
+                out[j + twist] = out.get(j + twist, 0) + c
+        basis._series = {j: c for j, c in out.items() if c}
+    return dict(basis._series)
 
 
 def combine_series(*parts) -> dict:

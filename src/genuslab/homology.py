@@ -288,8 +288,9 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
     no kernel and no presentation of H_i (additivity of Hilbert series,
     Bruns-Herzog, Cohen-Macaulay Rings, 4.1): it is the value of that
     difference at t = 1, and InfiniteLength when the difference has a pole
-    there, as total_length raises.  Under --verify-gb each H_i is also
-    presented from the kernel Z_i and its length compared."""
+    there, as total_length raises.  B_0 is the module's power_submodule
+    N + QF.  Under --verify-gb B_0 is also built from the complex, and each
+    H_i is presented from the kernel Z_i, and both must agree."""
     m = module if module is not None else seq.module
     cx = koszul_complex(seq, m)
     algebra = m.algebra
@@ -307,11 +308,12 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
     below = None  # HS(F_(i-1)/B_(i-1))
     for i in range(d + 1):
         spot = cx.spots[i]
-        bottom_gens = list(cx.diffs[i]) if i < d else []
-        bottom = groebner_basis(spot, bottom_gens + blocks(spot))
+        bottom_gens = (list(cx.diffs[i]) if i < d else []) + blocks(spot)
         if i == 0:
+            bottom = m.power_submodule(seq.gens)  # B_0 = N + QF
             cycles = {}  # Z_0 = F_0
         else:
+            bottom = groebner_basis(spot, bottom_gens)
             cycles = combine_series(
                 *[(1, sum(degs[j] for j in T), relation_series)
                   for T in itertools.combinations(range(d), i - 1)],
@@ -323,6 +325,9 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
         if debug_verification_enabled():
             if i == 0:
                 top = [spot.generator(b) for b in range(spot.rank)]
+                if bottom != groebner_basis(spot, bottom_gens):
+                    raise CrossCheckFailure("koszul_homology_lengths: B_0 "
+                                            "differs from the module's N + QF")
             else:
                 top = kernel_of_map(cx.diffs[i - 1], list(spot.twists),
                                     cx.spots[i - 1],

@@ -56,13 +56,12 @@ from .groebner import (NEG_INF, combine_series, debug_verification_enabled,
                        finite_colength, groebner_basis, hilbert_series,
                        quotient_total_length, series_dimension, series_length)
 from .homology import dual_sections, ext_module, koszul_homology_lengths
-from .modules import (GradedModule, ParameterSequence, _as_poly_list,
-                      colon_quotient_series, colon_series,
-                      complete_to_invertible, echelon_insert,
+from .modules import (GradedAlgebra, GradedModule, LinearChange,
+                      ParameterSequence, _as_poly_list, colon_quotient_series,
+                      colon_series, complete_to_invertible, echelon_insert,
                       invert_matrix, linear_coefficients, power_of_linear_form,
                       present_subquotient, submodule_colon,
-                      submodule_intersect, substitute_element,
-                      substitute_linear)
+                      submodule_intersect)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, Record,
                    binomial, mono_divides, poly_in_position,
                    poly_times_element)
@@ -84,13 +83,68 @@ def _sequence_for(module, q) -> ParameterSequence:
 
 # -- the length table ---------------------------------------------------------
 
+class _GradedCoordinates(Record):
+    """The graded route's coordinates for one Q (`graded_coordinates`): the
+    block b, the weight D, the change C, and head_monomials, the monomials
+    of x_1..x_(b-1) of one degree."""
+    block: int
+    weight: int
+    change: LinearChange
+    head_monomials: object
+
+    def block_weight(self, e: tuple) -> int:
+        """W = D·|a| + k of the exponents e, in these coordinates."""
+        b = self.block
+        return self.weight * sum(e[:b - 1]) + e[b - 1]
+
+
+def graded_coordinates(algebra: GradedAlgebra, gens):
+    """Coordinates for Q = (gens) of linear forms plus at most one power
+    c·l^D of a linear form l independent of them, None for other Q, kept on
+    the algebra per set of generators (M, M/aM and M/H⁰(M) share them).  C
+    moves the independent linear generators onto x_1..x_(b-1) and l onto
+    x_b (for linear Q, D = 1), so Q = (x_1..x_(b-1), x_b^D).  Checked on
+    coefficient rows: row(q)·C = e_i for the i-th independent linear q,
+    row(l)·C = e_b (c·l^D checked by expanding), and row(q)·C is 0 outside
+    the block for every linear q.  --verify-gb maps each image back."""
+    def build():
+        ring = algebra.ring
+        p, nv = ring.prime, ring.nvars
+        linear = [linear_coefficients(q) for q in gens if q.degree == 1]
+        powers = [q for q in gens if q.degree != 1]
+        if len(powers) > 1:
+            return None
+        ech = []
+        indep = [row for row in linear if echelon_insert(ech, row, p)]
+        nlin, weight = len(indep), 1
+        if powers:
+            form = power_of_linear_form(powers[0])
+            if form is None or not echelon_insert(
+                    ech, linear_coefficients(form[1]), p):
+                return None
+            indep.append(linear_coefficients(form[1]))
+            weight = form[2]
+        b = len(indep)
+        change = invert_matrix(complete_to_invertible(indep, nv, p), p)
+        image = lambda row: [sum(a * r[k] for a, r in zip(row, change)) % p
+                             for k in range(nv)]
+        if ([image(row) for row in indep]
+                != [[int(k == i) for k in range(nv)] for i in range(b)]
+                or any(any(image(row)[nlin:]) for row in linear)):
+            raise CrossCheckFailure(
+                "coordinate change failed to straighten the generators")
+        return _GradedCoordinates(
+            b, weight, LinearChange(ring, change),
+            PolyRing(ring.variables[:b - 1], p).monomials_of_degree)
+    return algebra._memo(("coordinates", frozenset(gens)), build)
+
+
 class _TableEngine:
     """Produces ℓ(M/Q^{n+1}M) for one module and one generating set.
 
     Two routes.  The graded route takes every Q generated by linear forms
-    plus at most one power c·l^D of a linear form l independent of them.
-    An exact coordinate change moves the linear generators onto x_1..x_(b-1)
-    and l onto x_b (for linear Q, D = 1 and the block is x_1..x_b), so that
+    plus at most one power c·l^D of a linear form l independent of them,
+    in the algebra's shared coordinates for Q (`graded_coordinates`), where
     Q = (x_1..x_(b-1), x_b^D).  Give x^a·x_b^k, with a the exponents of
     x_1..x_(b-1), the weight W = D·|a| + k.  Then Q^m is spanned by the
     monomials of weight at least mD, since |a| + ⌊k/D⌋ >= m exactly when
@@ -104,11 +158,10 @@ class _TableEngine:
     that is not a power of a linear form, weight no longer cuts out Q^m (x·y
     has weight 2 in (x^2, y^2) but is not in it), and the finite quotient
     by each level N + Q^{n+1}F, from the module's power_submodule, is
-    counted directly.  The graded route is an
-    optimization only: the transformed basis must have the Hilbert series of
-    the original relations, the n = 0 value is cross-checked against the
-    direct quotient, and under --verify-gb the n = 1 value too.
-    """
+    counted directly.  The graded route is an optimization only: the
+    transformed basis must have the Hilbert series of the original
+    relations, the n = 0 value is cross-checked against the direct
+    quotient, and under --verify-gb the n = 1 value too."""
 
     def __init__(self, module: GradedModule, gens):
         self.module = module
@@ -116,92 +169,41 @@ class _TableEngine:
         self.values = []
         self._base = module.power_submodule(gens)
         _require_finite_colength(module, gens)
-        self.graded = (module.rank > 0 and bool(self.gens)
-                       and self._prepare_graded())
-
-    def _prepare_graded(self) -> bool:
-        """Set up the graded route; False, with nothing set, when Q is not
-        linear forms plus one power of an independent linear form."""
-        ring = self.module.algebra.ring
-        p = ring.prime
-        nv = ring.nvars
-        linear = [q for q in self.gens if q.degree == 1]
-        powers = [q for q in self.gens if q.degree != 1]
-        if len(powers) > 1:
-            return False
-        ech, indep, indep_at = [], [], []
-        for ridx, q in enumerate(linear):
-            row = linear_coefficients(q)
-            if echelon_insert(ech, row, p):
-                indep.append(row)
-                indep_at.append(ridx)
-        weight = 1
-        if powers:
-            form = power_of_linear_form(powers[0])
-            if form is None:
-                return False
-            c, base, weight = form
-            row = linear_coefficients(base)
-            if not echelon_insert(ech, row, p):
-                return False
-            indep.append(row)
-        self.block = b = len(indep)
-        self.weight = weight
-        full = complete_to_invertible(indep, nv, p)
-        self.change = invert_matrix(full, p)
-        for i, ridx in enumerate(indep_at):
-            if substitute_linear(linear[ridx], self.change) != ring.variable(i):
-                raise CrossCheckFailure(
-                    "coordinate change failed to straighten a generator")
-        if powers and (substitute_linear(powers[0], self.change)
-                       != (ring.variable(b - 1) ** weight).scale(c)):
-            raise CrossCheckFailure(
-                "coordinate change failed to straighten the power")
-        for q in linear:
-            img = substitute_linear(q, self.change)
-            if any(e[j] for e in img.terms for j in range(len(indep_at), nv)):
-                raise CrossCheckFailure(
-                    "coordinate change left a generator outside the block")
-        F = FreeModule(ring, self.module.twists, tangent_block=b,
-                       tangent_weight=weight)
-        moved = [FreeElement(F, substitute_element(g, self.change).terms,
-                             _checked=True)
-                 for g in self.module.relations.gb]
-        self.basis_t = groebner_basis(F, moved)
-        if (hilbert_series(self.basis_t)
-                != hilbert_series(self.module.relations)):
+        self.coords = (graded_coordinates(module.algebra, self.gens)
+                       if module.rank > 0 and self.gens else None)
+        self.graded = self.coords is not None
+        if not self.graded:
+            return
+        b = self.coords.block
+        F = FreeModule(module.algebra.ring, module.twists, tangent_block=b,
+                       tangent_weight=self.coords.weight)
+        self.basis_t = groebner_basis(F, [self.coords.change.element(g, F)
+                                          for g in module.relations.gb])
+        if hilbert_series(self.basis_t) != hilbert_series(module.relations):
             raise CrossCheckFailure(
                 "tangent-cone basis changed the Hilbert series")
         leads = self.basis_t.leads_by_position()
         # per position, each lead split into its block and non-block parts
         self._split = [[(e[:b], e[b:]) for e in leads.get(pos, ())]
                        for pos in range(F.rank)]
-        self._head_monomials = PolyRing(ring.variables[:b - 1],
-                                        p).monomials_of_degree
         self._outside = {}
         self._cumulative = []
-        return True
-
-    def block_weight(self, e: tuple) -> int:
-        """W = D·|a| + k of the exponents e, in the engine's coordinates."""
-        b = self.block
-        return self.weight * sum(e[:b - 1]) + e[b - 1]
 
     def _outside_count(self, colon: tuple) -> int:
         """Monomials in the non-block variables outside the monomial ideal
         generated by colon, which must have finite colength."""
         got = self._outside.get(colon)
         if got is None:
-            m = self.module.algebra.ring.nvars - self.block
+            m = self.module.algebra.ring.nvars - self.coords.block
             got = self._outside[colon] = finite_colength(colon, m)
         return got
 
     def _slice(self, w: int) -> int:
         """Standard monomials of block weight exactly w."""
-        d = self.weight
+        d = self.coords.weight
         total = 0
         for k in range(w % d, w + 1, d):
-            for a in self._head_monomials((w - k) // d):
+            for a in self.coords.head_monomials((w - k) // d):
                 u = a + (k,)
                 for split in self._split:
                     total += self._outside_count(
@@ -211,7 +213,7 @@ class _TableEngine:
     def _graded_value(self, n: int) -> int:
         # standard monomials of weight below D(n+1)
         cum = self._cumulative
-        top = self.weight * (n + 1) - 1
+        top = self.coords.weight * (n + 1) - 1
         while len(cum) <= top:
             cum.append((cum[-1] if cum else 0) + self._slice(len(cum)))
         return cum[top]
@@ -499,15 +501,17 @@ def _multiples_sections_series(module: GradedModule, gens) -> dict:
     """Numerator of HS(H⁰(QM)) = HS((u ∩ P)/N) over (1-t)^n, u = h0_submodule
     and P = N + QF, memoized per Q, by 0 -> F/(u ∩ P) -> F/u ⊕ F/P ->
     F/(u + P) -> 0 from one basis of u + P with P's as its prefix; zero iff
-    P meets u in N alone.  Under --verify-gb u ∩ P is built, and must agree."""
+    P meets u in N alone, as when H⁰(M) = 0 and u is N, where no basis of
+    u + P is built.  Under --verify-gb u ∩ P is built, and must agree."""
     def build():
         first, second = module.power_submodule(gens), module.h0_submodule()
-        both = groebner_basis(module.ambient, list(first.gb) + list(second.gb),
-                              assume_reduced_prefix=len(first.gb))
         relations = hilbert_series(module.relations)
-        series = combine_series(
+        series = {} if second == module.relations else combine_series(
             (1, 0, relations), (-1, 0, hilbert_series(first)),
-            (-1, 0, hilbert_series(second)), (1, 0, hilbert_series(both)))
+            (-1, 0, hilbert_series(second)),
+            (1, 0, hilbert_series(groebner_basis(
+                module.ambient, list(first.gb) + list(second.gb),
+                assume_reduced_prefix=len(first.gb)))))
         if debug_verification_enabled() and series != combine_series(
                 (1, 0, relations), (-1, 0, hilbert_series(
                     submodule_intersect(first, second)))):
@@ -641,19 +645,13 @@ def _windowed_superficial(a, module: GradedModule, qgens, c_max=3, window=2):
     if _annihilator(a, module)[0] > 0:
         return "refuted", None
     level = lambda k: module.power_submodule(qgens, k)
-    series = {}
-
-    def level_series(k):
-        if k not in series:
-            series[k] = hilbert_series(level(k))
-        return series[k]
-
     for c in range(1, c_max + 1):
         good = True
         for n in range(c, c + window + 1):
             outside = [g for g in level(c).gb if not level(n).contains(g)]
             kernel = combine_series(
-                (1, 0, level_series(n)), (-1, 0, level_series(c)),
+                (1, 0, hilbert_series(level(n))),
+                (-1, 0, hilbert_series(level(c))),
                 (-1, 0, colon_series(level(n + 1), a, outside)))
             if debug_verification_enabled():
                 lhs = submodule_intersect(
@@ -670,19 +668,6 @@ def _windowed_superficial(a, module: GradedModule, qgens, c_max=3, window=2):
     return "inconclusive", None
 
 
-def _graded_engine(module: GradedModule, gens):
-    """The cached table engine when it takes the graded route, so that the
-    associated graded module of its weight filtration is at hand: gr_Q(M)
-    itself for linear Q, and for Q made of linear forms plus one power c·l^D
-    the finer gr_W(M) of the block weight W.  None otherwise, and when
-    ℓ(M/QM) is infinite."""
-    try:
-        eng = _engine(module, gens)
-    except InfiniteLength:
-        return None
-    return eng if eng.graded else None
-
-
 def _initial_module(module: GradedModule, gens):
     """N*_W with gr_W(M) = F/N*_W, in a plain ambient and in the coordinates
     of the table engine, where Q = (x_1..x_(b-1), x_b^D) and W = D·|a| + k
@@ -694,7 +679,7 @@ def _initial_module(module: GradedModule, gens):
         F = FreeModule(module.algebra.ring, module.twists)
         forms = []
         for g in eng.basis_t.gb:
-            weights = {t: eng.block_weight(t[1]) for t in g.terms}
+            weights = {t: eng.coords.block_weight(t[1]) for t in g.terms}
             low = min(weights.values())
             forms.append(FreeElement(
                 F, {t: c for t, c in g.terms.items() if weights[t] == low},
@@ -707,17 +692,17 @@ def _initial_module(module: GradedModule, gens):
     return module._memo(("initial", frozenset(gens)), build)
 
 
-def _tangent_ideal(module: GradedModule, gens):
-    """Basis of the algebra's defining ideal I in the coordinates of the
-    table engine, in its weighted tangent-cone order."""
+def _tangent_ideal(algebra: GradedAlgebra, gens):
+    """Basis of the defining ideal I in the algebra's coordinates for Q =
+    (gens), in their weighted tangent-cone order."""
     def build():
-        eng = _engine(module, gens)
-        F = FreeModule(module.algebra.ring, (0,), tangent_block=eng.block,
-                       tangent_weight=eng.weight)
+        coords = graded_coordinates(algebra, gens)
+        F = FreeModule(algebra.ring, (0,), tangent_block=coords.block,
+                       tangent_weight=coords.weight)
         return groebner_basis(F, [
-            poly_in_position(F, substitute_linear(f, eng.change), 0)
-            for f in module.algebra.ideal_gens])
-    return module._memo(("tangent ideal", frozenset(gens)), build)
+            poly_in_position(F, coords.change.poly(f), 0)
+            for f in algebra.ideal_gens])
+    return algebra._memo(("tangent ideal", frozenset(gens)), build)
 
 
 def _graded_superficial(a, module: GradedModule, gens) -> bool:
@@ -739,17 +724,18 @@ def _graded_superficial(a, module: GradedModule, gens) -> bool:
     largest W-order among the representatives of a.  False when that
     W-order is not exactly D, where a*_W says nothing.  (An a of W-order
     above D lies in mQ + I.)"""
-    eng = _engine(module, gens)
-    star = substitute_linear(a, eng.change)
-    if min(eng.block_weight(e) for e in star.terms) < eng.weight:
-        ideal = _tangent_ideal(module, gens)
+    coords = _engine(module, gens).coords
+    star = coords.change.poly(a)
+    if min(coords.block_weight(e) for e in star.terms) < coords.weight:
+        ideal = _tangent_ideal(module.algebra, gens)
         star = ideal.normal_form(
             poly_in_position(ideal.ambient, star, 0)).component(0)
-    weights = {e: eng.block_weight(e) for e in star.terms}
-    if not weights or min(weights.values()) != eng.weight:
+    weights = {e: coords.block_weight(e) for e in star.terms}
+    if not weights or min(weights.values()) != coords.weight:
         return False
     star = Polynomial(star.ring, {e: c for e, c in star.terms.items()
-                                  if weights[e] == eng.weight}, _checked=True)
+                                  if weights[e] == coords.weight},
+                      _checked=True)
     killed = colon_quotient_series(_initial_module(module, gens), star)
     return series_dimension(killed, module.algebra.ring.nvars)[0] <= 0
 
@@ -765,10 +751,13 @@ def _superficial_status(a, module: GradedModule, gens):
     per --verify-gb state, so that a verdict reached unchecked is never
     handed out as a checked one."""
     def build():
-        eng = _graded_engine(module, gens)
-        if eng is not None:
+        try:
+            coords = _engine(module, gens).coords
+        except InfiniteLength:
+            coords = None
+        if coords is not None:
             exact = _graded_superficial(a, module, gens)
-            if exact or eng.weight == 1:
+            if exact or coords.weight == 1:
                 if debug_verification_enabled():
                     window, _ = _windowed_superficial(a, module, gens)
                     if (window != "inconclusive"

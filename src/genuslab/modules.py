@@ -621,38 +621,58 @@ def power_of_linear_form(f: Polynomial):
     return (c, l, d) if (l ** d).scale(c) == f else None
 
 
-def substitute_linear(f: Polynomial, t_matrix) -> Polynomial:
-    """Apply the substitution x_j -> sum_k t_matrix[j][k] x_k."""
-    ring = f.ring
-    images = [Polynomial(ring, {ring.var_exps(k): c
-                                for k, c in enumerate(row) if c % ring.prime})
-              for row in t_matrix]
-    out = Polynomial(ring, {})
-    powers = {}
-    for e, c in f.terms.items():
-        term = ring.constant(c)
-        for j, a in enumerate(e):
-            if a == 0:
-                continue
-            key = (j, a)
-            if key not in powers:
-                powers[key] = images[j] ** a
-            term = term * powers[key]
-        out = out + term if out else term
-    return out
+class LinearChange:
+    """The substitution x_j -> Σ_k rows[j][k]·x_k over Z/p, for an
+    invertible matrix rows, term by term.  The image of a monomial is built
+    once, from that of the monomial with its last variable lowered by one,
+    and kept.  Under --verify-gb every image is mapped back through the
+    inverse matrix and must be the original."""
 
+    def __init__(self, ring: PolyRing, rows):
+        self.ring = ring
+        self.rows = rows
+        self._back = None
+        self._images = {ring.zero_exps(): {ring.zero_exps(): 1}}
 
-def substitute_element(v: FreeElement, t_matrix) -> FreeElement:
-    ambient = v.ambient
-    comps = [substitute_linear(v.component(i), t_matrix) if v.component(i) else None
-             for i in range(ambient.rank)]
-    terms = {}
-    for pos, f in enumerate(comps):
-        if f is None or not f:
-            continue
-        for e, c in f.terms.items():
-            terms[(pos, e)] = c
-    return FreeElement(ambient, terms)
+    def image(self, e: tuple) -> dict:
+        """The image of the monomial x^e, as {exponents: coefficient}."""
+        got = self._images.get(e)
+        if got is None:
+            j = max(i for i, a in enumerate(e) if a)
+            p = self.ring.prime
+            got = {}
+            for m, a in self.image(e[:j] + (e[j] - 1,) + e[j + 1:]).items():
+                for i, c in enumerate(self.rows[j]):
+                    if c:
+                        k = m[:i] + (m[i] + 1,) + m[i + 1:]
+                        got[k] = (got.get(k, 0) + a * c) % p
+            got = self._images[e] = {k: c for k, c in got.items() if c}
+        return got
+
+    def _move(self, terms: dict, check: bool = True) -> dict:
+        # {(position, exponents): coefficient}, moved exponent by exponent
+        p = self.ring.prime
+        out = {}
+        for (pos, e), c in terms.items():
+            for m, a in self.image(e).items():
+                t = (pos, m)
+                out[t] = out.get(t, 0) + c * a
+        out = {t: c % p for t, c in out.items() if c % p}
+        if check and debug_verification_enabled():
+            self._back = self._back or LinearChange(
+                self.ring, invert_matrix(self.rows, p))
+            if self._back._move(out, False) != terms:
+                raise CrossCheckFailure(
+                    "the coordinate change does not map back to the original")
+        return out
+
+    def poly(self, f: Polynomial) -> Polynomial:
+        return Polynomial(self.ring, {m: c for (_, m), c in self._move(
+            {(0, e): c for e, c in f.terms.items()}).items()}, _checked=True)
+
+    def element(self, v: FreeElement, ambient: FreeModule) -> FreeElement:
+        """The image of v in ambient, which has v's twists."""
+        return FreeElement(ambient, self._move(v.terms), _checked=True)
 
 
 # -- idealization -------------------------------------------------------------

@@ -25,6 +25,10 @@ dualizing each module itself, as the inequality battery did before it
 read them off M's own duals.
 `reference_tokenize_line` scans a session line one character at a time, as
 the parser did before one regular expression tokenized it.
+`substitute_linear` and `substitute_element` apply a linear change of
+coordinates in polynomial arithmetic, rebuilding the variable images and
+their powers on every call, as the graded table route did before one
+`modules.LinearChange` per Q kept the image of each monomial.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure, ParseError
@@ -32,8 +36,8 @@ from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
 from genuslab.homology import _transpose, free_resolution
 from genuslab.invariants import hdeg, torsion
 from genuslab.modules import GradedModule, present_subquotient, zero_module
-from genuslab.ring import (FreeElement, FreeModule, poly_in_position,
-                           poly_times_element)
+from genuslab.ring import (FreeElement, FreeModule, Polynomial,
+                           poly_in_position, poly_times_element)
 
 
 def element_from_components(ambient: FreeModule, polys) -> FreeElement:
@@ -277,3 +281,37 @@ def reference_tokenize_line(text, line_no):
         else:
             raise ParseError(line_no, col, f"unexpected character {ch!r}")
     return out
+
+
+def substitute_linear(f: Polynomial, t_matrix) -> Polynomial:
+    """Apply the substitution x_j -> sum_k t_matrix[j][k] x_k."""
+    ring = f.ring
+    images = [Polynomial(ring, {ring.var_exps(k): c
+                                for k, c in enumerate(row) if c % ring.prime})
+              for row in t_matrix]
+    out = Polynomial(ring, {})
+    powers = {}
+    for e, c in f.terms.items():
+        term = ring.constant(c)
+        for j, a in enumerate(e):
+            if a == 0:
+                continue
+            key = (j, a)
+            if key not in powers:
+                powers[key] = images[j] ** a
+            term = term * powers[key]
+        out = out + term if out else term
+    return out
+
+
+def substitute_element(v: FreeElement, t_matrix) -> FreeElement:
+    ambient = v.ambient
+    comps = [substitute_linear(v.component(i), t_matrix) if v.component(i) else None
+             for i in range(ambient.rank)]
+    terms = {}
+    for pos, f in enumerate(comps):
+        if f is None or not f:
+            continue
+        for e, c in f.terms.items():
+            terms[(pos, e)] = c
+    return FreeElement(ambient, terms)

@@ -8,7 +8,8 @@ from genuslab.errors import (CrossCheckFailure, InfiniteLength,
                              PreconditionViolation)
 from genuslab.groebner import (BuchbergerState, EXP_LIMIT, NEG_INF, Packing,
                                SubmoduleBasis, count_standard_monomials,
-                               finite_colength, groebner_basis, kernel_of_map,
+                               finite_colength, groebner_basis, hilbert_series,
+                               kernel_of_map,
                                quotient_dimension, quotient_hilbert_function,
                                quotient_total_length, series_dimension,
                                set_debug_verification, syzygies, verify_basis)
@@ -576,3 +577,31 @@ def test_packing_refuses_degrees_past_its_fields():
             poly_in_position(G, x * y ** half + w ** (half + 1), 0)]
     with pytest.raises(PreconditionViolation, match="packed-term limit"):
         groebner_basis(G, gens)
+
+
+# -- the Hilbert series memo ---------------------------------------------------
+
+def test_hilbert_series_copy_can_be_changed_by_the_caller():
+    ring = ring2()
+    x, y = ring.variable(0), ring.variable(1)
+    basis = ideal_basis(ring, [x * x, x * y])
+    first = hilbert_series(basis)
+    assert first == {0: 1, 2: -2, 3: 1}
+    first[0] = 99
+    first.clear()
+    assert hilbert_series(basis) == {0: 1, 2: -2, 3: 1}
+    assert hilbert_series(basis) is not hilbert_series(basis)
+
+
+def test_equal_bases_built_apart_read_equal_series():
+    ring = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = (ring.variable(i) for i in range(3))
+    one = ideal_basis(ring, [x * y - z * z, x * x])
+    two = ideal_basis(ring, [x * x, (x * y - z * z).scale(5), x * x * z])
+    assert one == two and one is not two
+    assert hilbert_series(one) == hilbert_series(two)
+    F = FreeModule(ring, (0, 1))
+    gens = [poly_in_position(F, x * z, 0) + poly_in_position(F, y, 1),
+            poly_in_position(F, z, 1)]
+    assert hilbert_series(groebner_basis(F, gens)) == hilbert_series(
+        groebner_basis(F, gens[::-1]))

@@ -628,6 +628,24 @@ def test_koszul_homology_matches_annihilator_in_dimension_one():
     assert seq.covolume() == 2
 
 
+def test_koszul_spot_zero_is_the_modules_power_submodule(monkeypatch):
+    # B_0 = N + QF comes from the module's memoized power_submodule; under
+    # --verify-gb a wrong one is caught against the complex
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    M = A.cyclic_module()
+    seq = ParameterSequence(M, [y])
+    groebner.set_debug_verification(True)
+    try:
+        assert koszul_homology_lengths(seq) == [2, 1]
+        monkeypatch.setattr(M, "power_submodule",
+                            lambda polys, k=1: M.submodule_with(
+                                M.ideal_multiples([y * y])))
+        with pytest.raises(CrossCheckFailure, match="B_0"):
+            koszul_homology_lengths(seq)
+    finally:
+        groebner.set_debug_verification(False)
+
+
 def test_koszul_homology_empty_sequence_is_the_module():
     A, (x, y) = algebra("xy")
     M = residue_field(A)

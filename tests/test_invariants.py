@@ -17,7 +17,7 @@ from genuslab.groebner import (NEG_INF, SubmoduleBasis, hilbert_series,
                                quotient_total_length, set_debug_verification)
 from genuslab.homology import dual_sections, ext_module
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
-                                 _graded_engine, _graded_superficial,
+                                 _engine, _graded_superficial,
                                  _not_annihilating, _windowed_superficial,
                                  check_prop38,
                                  check_theorem34, covolume, euler_chi1,
@@ -202,7 +202,7 @@ def test_power_route_matches_direct_route(build, exponent):
     # the levels built one by one
     for module, gens in _powered(build, exponent):
         eng = _TableEngine(module, gens)
-        assert eng.graded and eng.weight == exponent
+        assert eng.graded and eng.coords.weight == exponent
         assert ([eng._graded_value(n) for n in range(6)]
                 == [eng._direct_value(n) for n in range(6)])
 
@@ -214,6 +214,73 @@ def test_power_of_a_dependent_form_takes_the_direct_route(plane_with_line):
     assert not eng.graded
     # 1, y^a z^b with a + b <= n, and x z^b with b <= n
     assert eng.values_up_to(3) == [2, 5, 9, 14]
+
+
+def _fresh_plane_with_line():
+    # a new algebra each time, so that no coordinate change is memoized yet
+    A, (x, y, z) = algebra("xyz", [lambda x, y, z: x * x,
+                                   lambda x, y, z: x * y])
+    return A.cyclic_module(), (y + x, z - 2 * y)
+
+
+def test_swapped_columns_of_the_coordinate_change_fail_a_plain_run(
+        monkeypatch):
+    M, gens = _fresh_plane_with_line()
+    real = invariants.invert_matrix
+    monkeypatch.setattr(invariants, "invert_matrix", lambda rows, p: [
+        [r[1], r[0]] + r[2:] for r in real(rows, p)])
+    with pytest.raises(CrossCheckFailure, match="straighten"):
+        hilbert_samuel_table(M, gens, 2)
+
+
+@pytest.mark.parametrize("gens", [lambda x, y, z: (y + x, z - 2 * y),
+                                  lambda x, y, z: (y + x, (z - 2 * y) ** 2)],
+                         ids=["linear", "power"])
+def test_verify_gb_maps_every_moved_element_back(gens):
+    # a corrupted image of x^2, a monomial of the relations, is caught by
+    # mapping the moved relations back through the inverse matrix
+    M, _ = _fresh_plane_with_line()
+    gens = gens(*M.algebra.variables())
+    change = invariants.graded_coordinates(M.algebra, gens).change
+    x2 = (2, 0, 0)
+    change._images[x2] = {e: 2 * c for e, c in change.image(x2).items()}
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="coordinate change"):
+            hilbert_samuel_table(M, gens, 2)
+    finally:
+        set_debug_verification(False)
+
+
+def test_one_coordinate_change_serves_m_m_over_am_and_m_over_h0(
+        monkeypatch):
+    # d = 2, linear Q: the length tables of M, M/a_1M and M/H⁰(M) all move
+    # their relations through the one object memoized on the algebra
+    module, seq = random_instance(7)
+    assert seq.count == 2
+    built, engines = [], []
+    real_coords = invariants._GradedCoordinates.__init__
+    real_engine = _TableEngine.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real_coords(self, *args)
+
+    def recording(self, *args):
+        real_engine(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(invariants._GradedCoordinates, "__init__", counting)
+    monkeypatch.setattr(_TableEngine, "__init__", recording)
+    invariant_report(module, seq)
+    inequality_suite(module, seq)
+    assert len(built) == 1
+    assert all(eng.coords is built[0] for eng in engines)
+    relations = [eng.module.relations for eng in engines]
+    assert len({id(eng.module) for eng in engines}) == len(engines) == 3
+    assert engines[0].module is module
+    assert module.power_submodule(seq.gens[:1]) in relations
+    assert [r == module.h0_submodule() for r in relations].count(True) == 2
 
 
 def test_power_route_cross_checks_row_one_under_verify_gb(
@@ -568,14 +635,14 @@ def test_nonlinear_ideal_keeps_the_window(line_with_spike):
     # one power: the weight-D form y^2 is filter-regular on gr_W(M), so the
     # window is never asked
     M, x, y = line_with_spike
-    assert _graded_engine(M, (y * y,)).weight == 2
-    assert _graded_engine(M, (y,)) is not None
+    assert _engine(M, (y * y,)).coords.weight == 2
+    assert _engine(M, (y,)).coords is not None
     rep = is_superficial(y * y, M, (y * y,))
     assert rep.status == "verified" and rep.window_start is None
     # two powers leave the graded route, and the window decides
     A, (u, v) = algebra("xy")
     S = A.cyclic_module()
-    assert _graded_engine(S, (u * u, v * v)) is None
+    assert _engine(S, (u * u, v * v)).coords is None
     rep = is_superficial(u * u, S, (u * u, v * v))
     assert rep.status == "verified" and rep.window_start == 1
 
@@ -588,7 +655,7 @@ def test_one_power_zero_divisor_goes_to_the_window():
                                    lambda x, y, z: x * y])
     M = A.cyclic_module()
     q = (x + y, (x + z) ** 2)
-    assert _graded_engine(M, q).weight == 2
+    assert _engine(M, q).coords.weight == 2
     assert not _graded_superficial(q[1], M, q)
     rep = is_superficial(q[1], M, q)
     assert rep.status == "inconclusive" and rep.colon_length == 0
@@ -606,7 +673,7 @@ def test_weighted_superficiality_against_the_window():
             continue  # three parameters make the window slow
         for power in ((2, 3) if seed < 15 else (2,)):
             gens = (seq.gens[0] ** power,) + tuple(seq.gens[1:])
-            assert _graded_engine(module, gens).weight == power
+            assert _engine(module, gens).coords.weight == power
             for a in gens:
                 weighted = _graded_superficial(a, module, gens)
                 window, _ = _windowed_superficial(a, module, gens)

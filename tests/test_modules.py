@@ -1,7 +1,9 @@
 """Module layer: algebras, presented modules, submodule calculus."""
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from genuslab.corpus import build_example42, random_instance
 from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
@@ -12,18 +14,18 @@ from genuslab.groebner import (NEG_INF, groebner_basis,
                                quotient_hilbert_function)
 from genuslab.homology import dual_sections
 from genuslab.invariants import _engine
-from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
-                              complete_to_invertible, ideal_power,
-                              idealization, invert_matrix,
+from genuslab.modules import (GradedAlgebra, GradedModule, LinearChange,
+                              ParameterSequence, complete_to_invertible,
+                              ideal_power, idealization, invert_matrix,
                               linear_coefficients, module_from_matrix,
                               power_of_linear_form, submodule_colon,
-                              submodule_intersect, substitute_linear,
-                              zero_module)
-from genuslab.ring import (FreeModule, PolyRing, poly_in_position,
-                           poly_times_element)
+                              submodule_intersect, zero_module)
+from genuslab.ring import (FreeElement, FreeModule, Polynomial, PolyRing,
+                           poly_in_position, poly_times_element)
 
 from reference import (reference_annihilator, reference_colon,
-                       reference_intersect)
+                       reference_intersect, substitute_element,
+                       substitute_linear)
 
 
 def algebra(names, relations=(), p=32003):
@@ -353,10 +355,69 @@ def test_linear_substitution_moves_parameters_to_variables():
     q = x + y
     b = complete_to_invertible([linear_coefficients(q)], 2, A.ring.prime)
     t = invert_matrix(b, A.ring.prime)
-    assert substitute_linear(q, t) == x
+    assert LinearChange(A.ring, t).poly(q) == x
     f = x * x
-    g = substitute_linear(f, [[1, 1], [0, 1]])  # x -> x + y
+    g = LinearChange(A.ring, [[1, 1], [0, 1]]).poly(f)  # x -> x + y
     assert g == x * x + 2 * x * y + y * y
+
+
+@st.composite
+def substitution_cases(draw):
+    """A random invertible matrix T = P·L·U over Z/p, with a homogeneous
+    polynomial of degree <= 4 or a power c·l^D (D = 2, 3) of a linear form,
+    and a homogeneous element of rank <= 3, in 2-5 variables."""
+    p = draw(st.sampled_from([7, 32003]))
+    n = draw(st.integers(2, 5))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)), p)
+    coeff = st.integers(0, p - 1)
+    lower = [[1 if i == j else draw(coeff) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[draw(st.integers(1, p - 1)) if i == j else draw(coeff)
+              if j > i else 0 for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    t = [[sum(lower[perm[i]][k] * upper[k][j] for k in range(n)) % p
+          for j in range(n)] for i in range(n)]
+
+    def poly(d):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            e = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=d,
+                                   max_size=d)):
+                e[i] += 1
+            terms[tuple(e)] = draw(coeff)
+        return Polynomial(ring, terms)
+
+    if draw(st.booleans()):
+        f = poly(draw(st.integers(0, 4)))
+    else:
+        f = (poly(1) ** draw(st.sampled_from([2, 3]))).scale(draw(coeff))
+    twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    top = max(twists) + draw(st.integers(0, 2))
+    F = FreeModule(ring, twists)
+    terms = {}
+    for pos, tw in enumerate(twists):
+        for e, c in poly(top - tw).terms.items():
+            terms[(pos, e)] = c
+    return ring, t, f, FreeElement(F, terms)
+
+
+@given(substitution_cases())
+@settings(max_examples=150, deadline=None)
+def test_linear_change_matches_the_reference_substitution(case):
+    # the memoized monomial images against the substitution in polynomial
+    # arithmetic, and back through the inverse matrix
+    ring, t, f, v = case
+    change = LinearChange(ring, t)
+    back = LinearChange(ring, invert_matrix(t, ring.prime))
+    moved = change.poly(f)
+    assert moved == substitute_linear(f, t)
+    assert back.poly(moved) == f
+    moved_v = change.element(v, v.ambient)
+    assert moved_v == substitute_element(v, t)
+    assert back.element(moved_v, v.ambient) == v
+    # a second call reads the kept images and gives the same
+    assert change.poly(f) == moved
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
