@@ -36,7 +36,8 @@ a wrongly skipped pair can lose a kernel element and still leave the rest a
 Groebner basis.
 
 Standard monomials are counted, never listed, through the Hilbert numerator
-of the lead monomials.  Hilbert function values and the length-table slices
+of the lead monomials.  Hilbert function values and the graded route's
+length tables, through a bigraded numerator with per-variable weights,
 come from that one kernel.  So do the Krull dimension and every finite
 length: the dimension is the pole order at t = 1 of the Hilbert series, and
 once that pole is gone the length is the value at t = 1 (Bruns-Herzog,
@@ -45,6 +46,7 @@ Cohen-Macaulay Rings, 4.1).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .errors import (CrossCheckFailure, HomogeneityViolation, InfiniteLength,
                      PreconditionViolation)
@@ -599,9 +601,10 @@ def _minimal_leads(leads):
 _NUMERATOR_CACHE = {}
 
 
-def _hilbert_numerator(leads, n: int) -> dict:
+def _hilbert_numerator(leads, n: int, weights: tuple = None) -> dict:
     """Numerator of the degreewise-size series of S/(leads) over (1-t)^n,
-    as a sparse {degree: coefficient} dict.
+    as a sparse {degree: coefficient} dict; with weights, x_i has degree
+    weights[i] and the series is over the product of the (1-t^weights[i]).
 
     Recursion on a pivot variable: quotienting by the pivot and coloning out
     the pivot split the count exactly, and once every variable touches at
@@ -609,7 +612,7 @@ def _hilbert_numerator(leads, n: int) -> dict:
     is a plain product.
     """
     leads = _minimal_leads(leads)
-    key = (n, leads)
+    key = (n, leads, weights)
     got = _NUMERATOR_CACHE.get(key)
     if got is not None:
         return got
@@ -625,7 +628,8 @@ def _hilbert_numerator(leads, n: int) -> dict:
         if not leads or counts[pivot] <= 1:
             out = {0: 1}
             for e in leads:
-                d = mono_deg(e)
+                d = (mono_deg(e) if weights is None
+                     else sum(map(mul, e, weights)))
                 nxt = {}
                 for j, c in out.items():
                     nxt[j] = nxt.get(j, 0) + c
@@ -636,13 +640,14 @@ def _hilbert_numerator(leads, n: int) -> dict:
             plus = [e for e in leads if e[pivot] == 0] + [unit]
             quo = [tuple(a - 1 if i == pivot and a else a
                          for i, a in enumerate(e)) for e in leads]
-            out = dict(_hilbert_numerator(tuple(plus), n))
-            for j, c in _hilbert_numerator(tuple(quo), n).items():
-                v = out.get(j + 1, 0) + c
+            step = 1 if weights is None else weights[pivot]
+            out = dict(_hilbert_numerator(tuple(plus), n, weights))
+            for j, c in _hilbert_numerator(tuple(quo), n, weights).items():
+                v = out.get(j + step, 0) + c
                 if v:
-                    out[j + 1] = v
+                    out[j + step] = v
                 else:
-                    out.pop(j + 1, None)
+                    out.pop(j + step, None)
     _NUMERATOR_CACHE[key] = out
     return out
 
@@ -716,18 +721,6 @@ def series_dimension(num: dict, n: int):
         coeffs = quo
         d -= 1
     return d, sum(coeffs)
-
-
-def finite_colength(leads, n: int) -> int:
-    """Monomials in n variables outside the monomial ideal generated by
-    `leads`, which must have finite colength: the series then has no pole,
-    and the count is its value at t = 1.  CrossCheckFailure when the series
-    does not end."""
-    d, e = series_dimension(_hilbert_numerator(tuple(leads), n), n)
-    if d > 0:
-        raise CrossCheckFailure(
-            "finite colength expected, but the Hilbert series does not end")
-    return e
 
 
 def series_length(num: dict, n: int) -> int:

@@ -4,16 +4,18 @@ degree and torsion.  On top of those sit the element tests (superficiality,
 d-sequences), a seeded generator search, and the checkers that tie the
 numbers together.
 
-Every number here is an exact integer.  Coefficient extraction works by
-finite differences in the binomial basis and accepts a value only after two
-overlapping windows agree and the fitted polynomial reproduces the tail of
-the table; there is no interpolation and no tolerance anywhere.
+Every number here is an exact integer.  On the graded route the rows,
+e_0..e_d and the postulation are read off one bigraded Hilbert numerator
+(`_TableEngine`; Rossi–Valla, Hilbert Functions of Filtered Modules, ch. 1).
+Elsewhere, and under --verify-gb as a second derivation, a fit in the
+binomial basis is accepted only once it reproduces the tail of the table;
+there is no interpolation and no tolerance anywhere.
 
 The multiplicity e_0 needs no table when Q is a homogeneous system of
 parameters or is generated by linear forms: it is read off the one Hilbert
-series of M (Serre's formula, see `multiplicity`).  The windowed fit
-supplies e_1..e_d, and e_0 only for a Q with more than dim M generators
-that are not all linear.  Wherever a table is built anyway, its e_0 must
+series of M (Serre's formula, see `multiplicity`).  The coefficients above
+supply e_1..e_d, and e_0 only for a Q with more than dim M generators that
+are not all linear.  Wherever they are computed anyway, their e_0 must
 equal the series value.
 
 Superficiality is tested on the associated graded module that the
@@ -46,15 +48,17 @@ presented colon in the whole Hilbert series.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from math import prod
 
 from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, combine_series, debug_verification_enabled,
-                       finite_colength, groebner_basis, hilbert_series,
-                       quotient_total_length, series_dimension, series_length)
+from .groebner import (NEG_INF, _hilbert_numerator, combine_series,
+                       debug_verification_enabled, groebner_basis,
+                       hilbert_series, quotient_total_length,
+                       series_dimension, series_length)
 from .homology import dual_sections, ext_module, koszul_homology_lengths
 from .modules import (GradedAlgebra, GradedModule, LinearChange,
                       ParameterSequence, _as_poly_list, colon_quotient_series,
@@ -62,9 +66,8 @@ from .modules import (GradedAlgebra, GradedModule, LinearChange,
                       invert_matrix, linear_coefficients, power_of_linear_form,
                       present_subquotient, submodule_colon,
                       submodule_intersect)
-from .ring import (FreeElement, FreeModule, Polynomial, PolyRing, Record,
-                   binomial, mono_divides, poly_in_position,
-                   poly_times_element)
+from .ring import (FreeElement, FreeModule, Polynomial, Record, binomial,
+                   poly_in_position, poly_times_element)
 
 TABLE_CAP = 64
 
@@ -85,12 +88,10 @@ def _sequence_for(module, q) -> ParameterSequence:
 
 class _GradedCoordinates(Record):
     """The graded route's coordinates for one Q (`graded_coordinates`): the
-    block b, the weight D, the change C, and head_monomials, the monomials
-    of x_1..x_(b-1) of one degree."""
+    block b, the weight D and the change C."""
     block: int
     weight: int
     change: LinearChange
-    head_monomials: object
 
     def block_weight(self, e: tuple) -> int:
         """W = D·|a| + k of the exponents e, in these coordinates."""
@@ -133,9 +134,7 @@ def graded_coordinates(algebra: GradedAlgebra, gens):
                 or any(any(image(row)[nlin:]) for row in linear)):
             raise CrossCheckFailure(
                 "coordinate change failed to straighten the generators")
-        return _GradedCoordinates(
-            b, weight, LinearChange(ring, change),
-            PolyRing(ring.variables[:b - 1], p).monomials_of_degree)
+        return _GradedCoordinates(b, weight, LinearChange(ring, change))
     return algebra._memo(("coordinates", frozenset(gens)), build)
 
 
@@ -151,17 +150,14 @@ class _TableEngine:
     W >= mD.  One basis of the transformed relations in the weighted
     tangent-cone order (see FreeModule.tangent_block) takes its leads from
     the lowest-weight forms, so ℓ(M/Q^{n+1}M) is the number of standard
-    monomials of weight below D(n+1).  Each weight slice is counted once: for
-    every block monomial u of that weight, the finitely many monomials in the
-    other variables that stay outside the colon of the leads by u.  Every
-    length is then a prefix sum of slices.  With two powers, or a generator
-    that is not a power of a linear form, weight no longer cuts out Q^m (x·y
-    has weight 2 in (x^2, y^2) but is not in it), and the finite quotient
-    by each level N + Q^{n+1}F, from the module's power_submodule, is
-    counted directly.  The graded route is an optimization only: the
-    transformed basis must have the Hilbert series of the original
-    relations, the n = 0 value is cross-checked against the direct
-    quotient, and under --verify-gb the n = 1 value too."""
+    monomials of weight below D(n+1), read off one bigraded numerator of
+    the leads (`_numerator`).  With two powers, or a generator that is not
+    a power of a linear form, weight no longer cuts out Q^m (x·y has weight
+    2 in (x^2, y^2) but is not in it), and the finite quotient by each
+    level N + Q^{n+1}F, from the module's power_submodule, is counted
+    directly.  The graded route is an optimization only: the transformed
+    basis must have the Hilbert series of the original relations, row 0
+    must be the covolume, and under --verify-gb row 1 the direct value."""
 
     def __init__(self, module: GradedModule, gens):
         self.module = module
@@ -172,51 +168,74 @@ class _TableEngine:
         self.coords = (graded_coordinates(module.algebra, self.gens)
                        if module.rank > 0 and self.gens else None)
         self.graded = self.coords is not None
+        self._h = None
         if not self.graded:
             return
-        b = self.coords.block
-        F = FreeModule(module.algebra.ring, module.twists, tangent_block=b,
+        F = FreeModule(module.algebra.ring, module.twists,
+                       tangent_block=self.coords.block,
                        tangent_weight=self.coords.weight)
         self.basis_t = groebner_basis(F, [self.coords.change.element(g, F)
                                           for g in module.relations.gb])
         if hilbert_series(self.basis_t) != hilbert_series(module.relations):
             raise CrossCheckFailure(
                 "tangent-cone basis changed the Hilbert series")
+
+    def _numerator(self):
+        """(h, d) with Σ_n ℓ(M/Q^{n+1}M)·u^n = h(u)/(1-u)^(d+1), h(1) != 0.
+        K(s, t), s the weight and t the other degree, is over
+        (1-s^D)^(b-1)(1-s)(1-t)^(n-b); finite slices make each s-coefficient
+        divisible by (1-t)^(n-b), and at t = 1 they give K'(s).
+        K'(s)(1 + ... + s^(D-1)) folded into u = s^D is over (1-u)^(b+1)."""
+        if self._h is not None:
+            return self._h
+        n, b, D = (self.module.algebra.ring.nvars, self.coords.block,
+                   self.coords.weight)
         leads = self.basis_t.leads_by_position()
-        # per position, each lead split into its block and non-block parts
-        self._split = [[(e[:b], e[b:]) for e in leads.get(pos, ())]
-                       for pos in range(F.rank)]
-        self._outside = {}
-        self._cumulative = []
-
-    def _outside_count(self, colon: tuple) -> int:
-        """Monomials in the non-block variables outside the monomial ideal
-        generated by colon, which must have finite colength."""
-        got = self._outside.get(colon)
-        if got is None:
-            m = self.module.algebra.ring.nvars - self.coords.block
-            got = self._outside[colon] = finite_colength(colon, m)
-        return got
-
-    def _slice(self, w: int) -> int:
-        """Standard monomials of block weight exactly w."""
-        d = self.coords.weight
-        total = 0
-        for k in range(w % d, w + 1, d):
-            for a in self.coords.head_monomials((w - k) // d):
-                u = a + (k,)
-                for split in self._split:
-                    total += self._outside_count(
-                        tuple(y for x, y in split if mono_divides(x, u)))
-        return total
+        # s^i·t^j packed as i·B + j, B above every degree in t
+        B = 1 + sum(max((e[i] for es in leads.values() for e in es),
+                        default=0) for i in range(b, n))
+        weights = (D * B,) * (b - 1) + (B,) + (1,) * (n - b)
+        kprime = {}
+        for pos in range(self.basis_t.ambient.rank):
+            by_s = {}
+            for z, c in _hilbert_numerator(tuple(leads.get(pos, ())), n,
+                                           weights).items():
+                by_s.setdefault(z // B, [0] * B)[z % B] = c
+            for i, coeffs in by_s.items():
+                for _ in range(n - b):
+                    if sum(coeffs):
+                        raise CrossCheckFailure(
+                            "a weight slice of the tangent cone does not end")
+                    coeffs = list(accumulate(coeffs[:-1]))
+                kprime[i] = kprime.get(i, 0) + sum(coeffs)
+        h = [0] * ((max(kprime, default=0) + D - 1) // D + 1)
+        for i, c in kprime.items():
+            for r in range(i, i + D):
+                h[r // D] += c
+        d = b
+        while any(h) and not sum(h):
+            if d == 0:
+                raise CrossCheckFailure("the length series has no pole")
+            h, d = list(accumulate(h[:-1])), d - 1
+        while h and not h[-1]:
+            h.pop()
+        if sum(h[:1]) != quotient_total_length(self._base):
+            raise CrossCheckFailure("fast and direct covolumes disagree")
+        self._h = h, d
+        return self._h
 
     def _graded_value(self, n: int) -> int:
-        # standard monomials of weight below D(n+1)
-        cum = self._cumulative
-        top = self.coords.weight * (n + 1) - 1
-        while len(cum) <= top:
-            cum.append((cum[-1] if cum else 0) + self._slice(len(cum)))
-        return cum[top]
+        h, d = self._numerator()
+        return sum(c * binomial(n - k + d, d) for k, c in enumerate(h[:n + 1]))
+
+    def coefficients(self) -> HilbertCoefficients:
+        """e_i = Σ_k h_k·C(k, i).  The polynomial adds to row n the terms of
+        k > n, h_k·C(n - k + d, d), which vanish for k - n <= d; at
+        k - n = d + 1 it is (-1)^d·h_k, so the postulation is deg h - d."""
+        h, d = self._numerator()
+        e = tuple(sum(c * binomial(k, i) for k, c in enumerate(h))
+                  for i in range(d + 1))
+        return HilbertCoefficients(e, max(len(h) - 1 - d, 0), d)
 
     def _direct_value(self, n: int) -> int:
         return quotient_total_length(
@@ -225,18 +244,11 @@ class _TableEngine:
     def values_up_to(self, top: int) -> list:
         while len(self.values) <= top:
             n = len(self.values)
-            if self.graded:
-                v = self._graded_value(n)
-                if n == 0 and v != self.module.quotient_by_ideal(
-                        self.gens).total_length():
-                    raise CrossCheckFailure(
-                        "fast and direct covolumes disagree")
-                if (n == 1 and debug_verification_enabled()
-                        and v != self._direct_value(1)):
-                    raise CrossCheckFailure(
-                        "fast and direct lengths disagree at n = 1")
-            else:
-                v = self._direct_value(n)
+            v = self._graded_value(n) if self.graded else self._direct_value(n)
+            if (self.graded and n == 1 and debug_verification_enabled()
+                    and v != self._direct_value(1)):
+                raise CrossCheckFailure(
+                    "fast and direct lengths disagree at n = 1")
             if self.values and v < self.values[-1]:
                 raise CrossCheckFailure("length table decreased")
             self.values.append(v)
@@ -278,7 +290,7 @@ class LengthTable(Record):
 
     def extended(self, upto: int):
         if self._grow is None:
-            return None
+            raise NoStabilization("table cannot be extended")
         return LengthTable(tuple(self._grow(upto)), self._grow)
 
 
@@ -307,67 +319,47 @@ class HilbertCoefficients(Record):
                    for i in range(s + 1))
 
 
-def _binomial_fit(vals, a: int, s: int):
-    # fit vals[a..a+s] as sum c_i * C(n+s-i, s-i); None when it cannot hold
-    if a < 0 or a + s >= len(vals):
-        return None
-    window = [vals[a + k] for k in range(s + 1)]
-    coeffs = []
+def _binomial_fit(vals, a: int, s: int) -> HilbertCoefficients:
+    # the polynomial Σ (-1)^i·e_i·C(n+s-i, s-i) through vals[a..a+s]
+    window, e = vals[a:a + s + 1], []
     for i in range(s + 1):
-        deg = s - i
         diffs = window
-        for _ in range(deg):
+        for _ in range(s - i):
             diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-        if any(x != diffs[0] for x in diffs):
-            return None
-        ci = diffs[0]
-        coeffs.append(ci)
-        window = [window[k] - ci * binomial(a + k + s - i, s - i)
-                  for k in range(s + 1)]
-    if any(window):
-        return None
-    return tuple(coeffs)
-
-
-def _fit_value(coeffs, s: int, n: int) -> int:
-    return sum(c * binomial(n + s - i, s - i) for i, c in enumerate(coeffs))
+        e.append((-1) ** i * diffs[0])
+        window = [w - diffs[0] * binomial(a + k + s - i, s - i)
+                  for k, w in enumerate(window)]
+    return HilbertCoefficients(tuple(e), 0, s)
 
 
 def hilbert_coefficients(table: LengthTable, s: int) -> HilbertCoefficients:
-    """Finite-difference extraction in the binomial basis.
-
-    Accepts only when the windows at the last two offsets produce identical
-    coefficients and the fitted polynomial reproduces the trailing s + 2
-    table entries; otherwise the table is doubled, up to a hard cap.
+    """Finite-difference extraction in the binomial basis, for the direct
+    route and, under --verify-gb, as the graded route's second derivation.
+    Accepts only when the polynomial through the s + 1 entries from top - s
+    - 2 on reproduces all later ones; else doubles the table, up to a cap.
     """
     while True:
-        vals = list(table.values)
         top = table.top
         if top >= s + 2:
-            a = top - s - 2
-            fit = _binomial_fit(vals, a, s)
-            if (fit is not None and fit == _binomial_fit(vals, a + 1, s)
-                    and all(_fit_value(fit, s, n) == vals[n]
-                            for n in range(top - s - 1, top + 1))):
-                e = tuple(((-1) ** i) * c for i, c in enumerate(fit))
-                if e[0] <= 0:
+            fit = _binomial_fit(table.values, top - s - 2, s)
+            on = [fit.value_at(n) == v for n, v in enumerate(table.values)]
+            if all(on[top - s - 2:]):
+                if fit.e[0] <= 0:
                     raise CrossCheckFailure(
-                        f"nonpositive leading coefficient {e[0]}")
-                post = next(n0 for n0 in range(top + 1)
-                            if n0 + s + 2 <= top
-                            and all(_fit_value(fit, s, n) == vals[n]
-                                    for n in range(n0, n0 + s + 3)))
-                return HilbertCoefficients(e, post, s)
+                        f"nonpositive leading coefficient {fit.e[0]}")
+                post = next(n0 for n0 in range(top - s - 1)
+                            if all(on[n0:n0 + s + 3]))
+                return HilbertCoefficients(fit.e, post, s)
         if top >= TABLE_CAP:
             raise NoStabilization(
                 f"no stable coefficients with {top + 1} table entries")
-        grown = table.extended(min(max(2 * top, s + 4), TABLE_CAP))
-        if grown is None:
-            raise NoStabilization("table cannot be extended")
-        table = grown
+        table = table.extended(min(max(2 * top, s + 4), TABLE_CAP))
 
 
 def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
+    """Exact on the graded route, where NoStabilization keeps the fit's cap:
+    postulation + d + 2 > TABLE_CAP (--max-n).  The fit runs on the direct
+    route, and under --verify-gb on both, where the two must agree."""
     gens = _gens_for(q)
 
     def build():
@@ -375,8 +367,23 @@ def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
         if s == NEG_INF:
             raise ZeroModule("the zero module has no Hilbert coefficients")
         s = max(int(s), 0)
-        table = hilbert_samuel_table(module, gens, min(s + 4, TABLE_CAP))
-        coeffs = hilbert_coefficients(table, s)
+        eng = _engine(module, gens)
+        coeffs = None
+        if eng.graded:
+            coeffs = eng.coefficients()
+            if coeffs.dimension != s:
+                raise CrossCheckFailure(f"length series of dimension "
+                                        f"{coeffs.dimension}, not {s}")
+            if coeffs.postulation + s + 2 > TABLE_CAP:
+                raise NoStabilization(f"no stable coefficients with "
+                                      f"{TABLE_CAP + 1} table entries")
+        if coeffs is None or debug_verification_enabled():
+            table = hilbert_samuel_table(module, gens, min(s + 4, TABLE_CAP))
+            fit = hilbert_coefficients(table, s)
+            if coeffs is not None and fit != coeffs:
+                raise CrossCheckFailure(
+                    f"windowed fit {fit}, exact coefficients {coeffs}")
+            coeffs = fit
         series = _series_multiplicity(module, gens)
         if series is not None and series != coeffs.e[0]:
             raise CrossCheckFailure(
@@ -414,10 +421,9 @@ def multiplicity(module: GradedModule, q) -> int:
       such a Q is a reduction of the maximal ideal on M, so e_Q(M) = e(M)
       (Huneke–Swanson, Integral Closure, ch. 8 and 11).
 
-    Otherwise, for a Q with more than d generators not all linear, where the
-    plain degree product is wrong, e_0 comes from the length table.  Under
-    --verify-gb the table is built in every case, and module_coefficients
-    requires its e_0 to equal the series value."""
+    Otherwise, where the degree product is wrong, and in every case under
+    --verify-gb, e_0 comes from module_coefficients, which requires it to
+    equal the series value wherever there is one."""
     s = module.dimension()
     if s == NEG_INF:
         return 0

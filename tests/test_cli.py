@@ -111,6 +111,18 @@ def test_max_n_surfaces_no_stabilization(capsys):
     assert first["command_index"] == 0
 
 
+@pytest.mark.parametrize("max_n, code", [(4, EXIT_ENGINE), (5, EXIT_OK)])
+def test_max_n_caps_the_rows_the_coefficients_need(capsys, max_n, code):
+    # product_quadrics: d = 3 and postulation 0, so the fit needs the rows
+    # 0..5; the exact route keeps that cap
+    got, agg, _ = run_json(capsys, [
+        "run", str(SESSIONS / "product_quadrics.ses"),
+        "--max-n", str(max_n), "--no-timings"])
+    assert got == code
+    errors = [r.get("error", {}).get("type") for r in agg["reports"]]
+    assert errors == (["NoStabilization"] * 2 if code else [None, None])
+
+
 def test_failing_check_exits_one(capsys, tmp_path):
     path = tmp_path / "fat.ses"
     path.write_text("ring R = vars x\nideal I = x^2\nalgebra A = R / I\n"

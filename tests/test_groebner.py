@@ -1,18 +1,21 @@
 """Basis engine: reduction, pair filters, kernels, counting."""
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genuslab import oracle
+from genuslab import invariants, oracle
 from genuslab.errors import (CrossCheckFailure, InfiniteLength,
                              PreconditionViolation)
 from genuslab.groebner import (BuchbergerState, EXP_LIMIT, NEG_INF, Packing,
-                               SubmoduleBasis, count_standard_monomials,
-                               finite_colength, groebner_basis, hilbert_series,
-                               kernel_of_map,
+                               SubmoduleBasis, _hilbert_numerator,
+                               count_standard_monomials, groebner_basis,
+                               hilbert_series, kernel_of_map,
                                quotient_dimension, quotient_hilbert_function,
                                quotient_total_length, series_dimension,
                                set_debug_verification, syzygies, verify_basis)
+from genuslab.modules import GradedAlgebra
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, mono_divides,
                            mono_lcm, poly_in_position, poly_times_element)
 
@@ -254,22 +257,51 @@ def lead_sets(draw):
     return n, draw(st.lists(exps, max_size=6))
 
 
-@given(lead_sets(), st.integers(0, 6))
+@given(lead_sets(), st.integers(0, 6),
+       st.tuples(*[st.integers(1, 3)] * 4))
 @settings(max_examples=150, deadline=None)
-def test_count_standard_monomials_matches_listing(case, d):
-    # the Hilbert-numerator count against listing every monomial of degree d
+def test_count_standard_monomials_matches_listing(case, d, weights):
+    # the Hilbert-numerator count against listing every monomial of degree
+    # d, plain and with per-variable weights: the weighted numerator over
+    # the product of the (1 - t^w_i), expanded up to t^d
     n, leads = case
     ring = PolyRing(tuple("xyzw"[:n]))
     listed = sum(1 for m in ring.monomials_of_degree(d)
                  if not any(mono_divides(e, m) for e in leads))
     assert count_standard_monomials(leads, n, d) == listed
+    w = weights[:n]
+    inverse = [1] + [0] * d
+    for wi in w:
+        for j in range(wi, d + 1):
+            inverse[j] += inverse[j - wi]
+    counted = sum(c * inverse[d - j]
+                  for j, c in _hilbert_numerator(tuple(leads), n, w).items()
+                  if j <= d)
+    listed = sum(1 for k in range(d + 1) for m in ring.monomials_of_degree(k)
+                 if sum(map(mul, m, w)) == d
+                 and not any(mono_divides(e, m) for e in leads))
+    assert counted == listed
 
 
-def test_finite_colength_needs_a_series_that_ends():
-    assert finite_colength([(2, 0), (1, 1), (0, 3)], 2) == 4  # 1, x, y, y^2
-    assert finite_colength([()], 2) == 0
-    with pytest.raises(CrossCheckFailure):
-        finite_colength([(1, 0)], 2)  # every y^k survives
+def test_finite_colength_needs_a_series_that_ends(monkeypatch):
+    # every weight slice of the graded route's tangent cone has finite
+    # colength, so (1-t)^(n-b) divides each s-coefficient of the bigraded
+    # numerator; one corrupted coefficient fails a plain run
+    ring = ring2(32003)
+    x, y = ring.variable(0), ring.variable(1)
+    M = GradedAlgebra(ring, [x * x, x * y]).cyclic_module()
+    assert invariants.hilbert_samuel_table(M, (y,), 3).values == (2, 3, 4, 5)
+    real = invariants._hilbert_numerator
+
+    def corrupted(leads, n, weights):
+        num = dict(real(leads, n, weights))
+        num[0] = num.get(0, 0) + 1
+        return num
+
+    monkeypatch.setattr(invariants, "_hilbert_numerator", corrupted)
+    M = GradedAlgebra(ring, [x * x, x * y]).cyclic_module()
+    with pytest.raises(CrossCheckFailure, match="does not end"):
+        invariants.hilbert_samuel_table(M, (y,), 3)
 
 
 def test_twisted_rank_two_length_against_oracle():

@@ -140,12 +140,26 @@ def _random(seed):
 ], ids=["random38-rank2-duals", "example42-2", "example42-3", "example42-4",
         "unequal-twist-sum", "random0", "random5", "random10"])
 def test_tangent_cone_route_matches_ideal_powers(build):
-    # the tangent-cone slices against expanded powers of the ideal
+    # rows and coefficients read off the bigraded numerator against
+    # expanded powers of the ideal
     for module, gens in build():
         eng = _TableEngine(module, gens)
         assert eng.graded
         assert ([eng._graded_value(n) for n in range(6)]
                 == [eng._direct_value(n) for n in range(6)])
+        _assert_exact_coefficients_match_the_fit(eng)
+
+
+def _assert_exact_coefficients_match_the_fit(eng):
+    # e_0..e_d, d and the postulation of the graded route against the
+    # windowed fit over the rows of the direct route
+    s = max(int(eng.module.dimension()), 0)
+
+    def rows(top):
+        return [eng._direct_value(n) for n in range(top + 1)]
+
+    fit = hilbert_coefficients(LengthTable(tuple(rows(s + 4)), rows), s)
+    assert eng.coefficients() == fit
 
 
 def _two_squares(module, gens):
@@ -198,13 +212,14 @@ _POWER_IDS = ([f"random{s}" for s in range(20)]
 @pytest.mark.parametrize("exponent", [2, 3])
 @pytest.mark.parametrize("build", _POWER_BUILDS, ids=_POWER_IDS)
 def test_power_route_matches_direct_route(build, exponent):
-    # one generator a power of a linear form: the weighted slices against
-    # the levels built one by one
+    # one generator a power of a linear form: rows and coefficients read
+    # off the weighted numerator against the levels built one by one
     for module, gens in _powered(build, exponent):
         eng = _TableEngine(module, gens)
         assert eng.graded and eng.coords.weight == exponent
         assert ([eng._graded_value(n) for n in range(6)]
                 == [eng._direct_value(n) for n in range(6)])
+        _assert_exact_coefficients_match_the_fit(eng)
 
 
 def test_power_of_a_dependent_form_takes_the_direct_route(plane_with_line):
@@ -330,6 +345,28 @@ def test_postulation_waits_for_the_nilpotent():
     assert c.e == (2,)
     assert c.postulation == 1
     assert multiplicity(M, (x,)) == 2
+
+
+def test_verify_gb_fits_the_table_against_the_exact_coefficients(
+        monkeypatch):
+    # a plain run reads the graded route's coefficients off the numerator
+    # alone; under --verify-gb a fit that disagrees fails the run
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    real = invariants.hilbert_coefficients
+
+    def shifted(table, s):
+        c = real(table, s)
+        return invariants.HilbertCoefficients(c.e, c.postulation + 1,
+                                              c.dimension)
+
+    monkeypatch.setattr(invariants, "hilbert_coefficients", shifted)
+    assert module_coefficients(A.cyclic_module(), (y,)).e == (1, -1)
+    set_debug_verification(True)
+    try:
+        with pytest.raises(CrossCheckFailure, match="windowed fit"):
+            module_coefficients(A.cyclic_module(), (y,))
+    finally:
+        set_debug_verification(False)
 
 
 def test_no_stabilization_without_growth():
