@@ -369,6 +369,20 @@ def test_verify_gb_fits_the_table_against_the_exact_coefficients(
         set_debug_verification(False)
 
 
+def test_exact_route_checks_row_zero_and_the_dimension(monkeypatch):
+    # row 0 of the numerator against the covolume, and the pole order of
+    # the length series against the module's dimension, on a plain run
+    A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "quotient_total_length", lambda basis: 0)
+        with pytest.raises(CrossCheckFailure, match="covolumes"):
+            _TableEngine(A.cyclic_module(), (y,)).values_up_to(0)
+    monkeypatch.setattr(_TableEngine, "coefficients", lambda self: (
+        invariants.HilbertCoefficients((1, -1, 0), 0, 2)))
+    with pytest.raises(CrossCheckFailure, match="dimension 2"):
+        module_coefficients(A.cyclic_module(), (y,))
+
+
 def test_no_stabilization_without_growth():
     frozen = LengthTable((1, 2, 3))
     with pytest.raises(NoStabilization):
