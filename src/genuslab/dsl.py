@@ -214,7 +214,6 @@ class Session:
         self.prime = DEFAULT_PRIME
         self.statements = ()
         self.env = {}
-        self._cyclic = {}
 
     @property
     def commands(self) -> tuple:
@@ -232,14 +231,12 @@ class Session:
         return obj
 
     def module_for(self, name: str, line: int = 0) -> GradedModule:
-        """The named module, or the rank-one free module of the named
-        algebra."""
+        """The named module, or the rank-one module S/I of the named
+        algebra: the one object the algebra keeps, so command results on it
+        stay memoized."""
         obj = self.lookup(name, ("module", "algebra"), line)
         if isinstance(obj, GradedAlgebra):
-            # one shared copy per algebra, so command results stay memoized
-            if name not in self._cyclic:
-                self._cyclic[name] = obj.cyclic_module()
-            return self._cyclic[name]
+            return obj.cyclic_module()
         return obj
 
 

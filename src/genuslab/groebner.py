@@ -115,7 +115,7 @@ class Packing:
             d = ambient.tangent_weight
             wmax = d * EXP_LIMIT
             tdeg = top + wmax.bit_length()
-            weights = [1] * b if d == 1 else [d] * (b - 1) + [1]
+            weights = [d] * (b - 1) + [1]
             self.tangent = (top, tdeg, [
                 (w, sum(EXP_LIMIT << FIELD * (i + 1)
                         for i, v in enumerate(weights) if v == w))

@@ -234,10 +234,10 @@ def depth(module: GradedModule) -> int:
 
 # -- Koszul complexes ---------------------------------------------------------
 
-def koszul_complex(seq, module: GradedModule = None) -> FreeComplex:
-    """The exterior-algebra complex of the sequence with coefficients in the
+def koszul_complex(seq) -> FreeComplex:
+    """The exterior-algebra complex of the sequence with coefficients in its
     module's ambient: d(e_{i1<..<ik}) = sum_j (-1)^{j+1} a_{ij} e_{..without ij..}."""
-    m = module if module is not None else seq.module
+    m = seq.module
     F = m.ambient
     ring = m.algebra.ring
     d = seq.count
@@ -273,7 +273,7 @@ def koszul_complex(seq, module: GradedModule = None) -> FreeComplex:
     return out
 
 
-def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
+def koszul_homology_lengths(seq) -> list:
     """Exact lengths of the homology of the sequence's complex with
     coefficients in the presented module, spots 0..d.
 
@@ -291,8 +291,8 @@ def koszul_homology_lengths(seq, module: GradedModule = None) -> list:
     there, as total_length raises.  B_0 is the module's power_submodule
     N + QF.  Under --verify-gb B_0 is also built from the complex, and each
     H_i is presented from the kernel Z_i, and both must agree."""
-    m = module if module is not None else seq.module
-    cx = koszul_complex(seq, m)
+    m = seq.module
+    cx = koszul_complex(seq)
     algebra = m.algebra
     n_gb = m.relations.gb
     r = m.ambient.rank

@@ -18,11 +18,11 @@ supply e_1..e_d, and e_0 only for a Q with more than dim M generators that
 are not all linear.  Wherever they are computed anyway, their e_0 must
 equal the series value.
 
-Superficiality is tested on the associated graded module that the
-length-table engine already presents as F/N*, whenever Q takes its graded
-route and M/QM has finite length.  For linear Q that module is gr_Q(M), and
-a is superficial exactly when its initial form is filter-regular on it.  For
-Q made of linear forms plus one power c·l^D it is gr_W(M), graded by the
+Superficiality is tested on the associated graded module F/N*, whose basis
+is read off the length-table engine's (`_initial_module`), whenever Q takes
+its graded route and M/QM has finite length.  For linear Q that is gr_Q(M),
+and a is superficial exactly when its initial form is filter-regular on it.
+For Q made of linear forms plus one power c·l^D it is gr_W(M), graded by the
 engine's block weight W; a filter-regular weight-D form of a proves a
 superficial, but a zero-divisor proves nothing.  The heuristic window of
 colons decides everything else: that unverified case, two or more powers, a
@@ -55,10 +55,10 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      InfiniteLength, NoStabilization, NotFoundWithinBudget,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
-from .groebner import (NEG_INF, _hilbert_numerator, combine_series,
-                       debug_verification_enabled, groebner_basis,
-                       hilbert_series, quotient_total_length,
-                       series_dimension, series_length)
+from .groebner import (NEG_INF, SubmoduleBasis, _hilbert_numerator,
+                       combine_series, debug_verification_enabled,
+                       groebner_basis, hilbert_series, quotient_total_length,
+                       series_dimension, series_length, verify_basis)
 from .homology import dual_sections, ext_module, koszul_homology_lengths
 from .modules import (GradedAlgebra, GradedModule, LinearChange,
                       ParameterSequence, _as_poly_list, colon_quotient_series,
@@ -264,14 +264,9 @@ def _require_finite_colength(module: GradedModule, gens) -> None:
 
 
 def covolume(module: GradedModule, gens) -> int:
-    """ℓ(M/QM) off the memoized quotient, with no length table; under
-    --verify-gb the table's row 0 must agree."""
+    """ℓ(M/QM) off the memoized quotient, with no length table."""
     _require_finite_colength(module, gens)
-    cov = module.quotient_by_ideal(gens).total_length()
-    if (debug_verification_enabled()
-            and cov != hilbert_samuel_table(module, gens, 0).values[0]):
-        raise CrossCheckFailure("covolume: quotient and length table differ")
-    return cov
+    return module.quotient_by_ideal(gens).total_length()
 
 
 def _engine(module: GradedModule, gens) -> _TableEngine:
@@ -675,25 +670,27 @@ def _windowed_superficial(a, module: GradedModule, qgens, c_max=3, window=2):
 
 
 def _initial_module(module: GradedModule, gens):
-    """N*_W with gr_W(M) = F/N*_W, in a plain ambient and in the coordinates
-    of the table engine, where Q = (x_1..x_(b-1), x_b^D) and W = D·|a| + k
-    is its block weight.  The tangent-cone order refines the W-adic
-    filtration, so the lowest-weight forms of its basis generate N*_W.  For
+    """N*_W with gr_W(M) = F/N*_W, in the table engine's ambient, where
+    Q = (x_1..x_(b-1), x_b^D) and W = D·|a| + k is its block weight.  The
+    tangent-cone order refines the W-adic filtration and takes each lead
+    from the lowest-weight form, so the lowest-weight forms of the engine's
+    reduced basis are the reduced basis of N*_W, with the same leads
+    (Eisenbud, Commutative Algebra, 15.17); each must keep its lead.  For
     linear Q, D = 1, W is the x-degree and F/N*_W is gr_Q(M)."""
     def build():
         eng = _engine(module, gens)
-        F = FreeModule(module.algebra.ring, module.twists)
-        forms = []
+        ambient, forms = eng.basis_t.ambient, []
         for g in eng.basis_t.gb:
             weights = {t: eng.coords.block_weight(t[1]) for t in g.terms}
             low = min(weights.values())
-            forms.append(FreeElement(
-                F, {t: c for t, c in g.terms.items() if weights[t] == low},
+            forms.append(FreeElement(ambient, {
+                t: c for t, c in g.terms.items() if weights[t] == low},
                 _checked=True))
-        initial = groebner_basis(F, forms)
-        if hilbert_series(initial) != hilbert_series(module.relations):
-            raise CrossCheckFailure(
-                "the associated graded module changed the Hilbert series")
+            if forms[-1].lead_term()[0] != g.lead_term()[0]:
+                raise CrossCheckFailure("a lowest-weight form lost its lead")
+        initial = SubmoduleBasis(ambient, forms)
+        if debug_verification_enabled():
+            verify_basis(initial)
         return initial
     return module._memo(("initial", frozenset(gens)), build)
 
@@ -839,7 +836,7 @@ class DSequenceReport(Record):
     witness: str = None
 
 
-def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
+def is_d_sequence(seq: ParameterSequence) -> DSequenceReport:
     """Colon test over all index pairs: the colon of each prefix submodule
     P by a product of two later entries must equal the colon by the second
     factor alone.  P : a_j lies inside P : a_i·a_j, so the two are equal
@@ -849,9 +846,6 @@ def is_d_sequence(seq, module: GradedModule = None) -> DSequenceReport:
     outside P : a_j, that is with a_j·g outside P: one normal form each,
     with no basis of P : a_j.  Under --verify-gb both colons are built for
     every pair, and they must agree with the series."""
-    if module is not None and (not isinstance(seq, ParameterSequence)
-                               or seq.module is not module):
-        seq = ParameterSequence(module, _gens_for(seq))
     m = seq.module
     d = seq.count
     for i in range(1, d + 1):

@@ -6,18 +6,20 @@ A module is always a pair (free ambient F over the polynomial ring, relation
 submodule N), with the algebra's defining ideal folded into N so that F/N is
 genuinely a module over the quotient ring.  All derived data is cached
 lazily through `_memo`, on the algebra or module it belongs to; every value,
-once computed, is immutable.  In particular every submodule N + Q^k F, the
-filtration that the length tables, the colon tests and the quotients M/QM
-are read off, is built by one method, `GradedModule.power_submodule`, and
-kept on its module.  A submodule is its reduced basis (SubmoduleBasis).
+once computed, is immutable.  One presentation is one object, with one
+cache: M's quotient by its own relations is M, and the algebra's ideals live
+on its one rank-one module S/I.  In particular every submodule N + Q^k F,
+the filtration that the length tables, the colon tests and the quotients
+M/QM are read off, is built by one method, `GradedModule.power_submodule`,
+and kept on its module.  A submodule is its reduced basis (SubmoduleBasis).
 The kernels here, the colon, intersection and annihilator, are one
 construction, `stacked_kernel`: the kernel of a map into a direct sum of
-shifted quotients F/N_b.  They are built where a caller needs their
-elements and otherwise only under --verify-gb: what is only measured is
-read off Hilbert series (`colon_series`, `colon_quotient_series`), and
-annihilation is tested by membership.  Minimal generators are picked one
-way, `minimal_picks`, and every subquotient is presented on its picks, so
-no presentation has a unit entry.
+shifted quotients F/N_b.  They are built where a caller needs their elements
+and otherwise only under --verify-gb: what is only measured is read off
+Hilbert series (`colon_series`, `colon_quotient_series`), and annihilation
+is tested by membership.  Minimal generators are picked one way,
+`minimal_picks`, and every subquotient is presented on its picks, so no
+presentation has a unit entry.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .errors import (CrossCheckFailure, DependentRows, IncompleteBasis,
 from .groebner import (NEG_INF, BuchbergerState, SubmoduleBasis,
                        combine_series, debug_verification_enabled,
                        groebner_basis, hilbert_series, kernel_of_map,
-                       quotient_dimension, quotient_total_length,
-                       series_dimension, series_length)
+                       quotient_total_length, series_dimension,
+                       series_length)
 from .ring import (FreeElement, FreeModule, Polynomial, PolyRing,
                    poly_in_position, poly_times_element)
 
@@ -49,7 +51,8 @@ class _Memoized:
 
 
 class GradedAlgebra(_Memoized):
-    """Quotient of a standard graded polynomial ring by a homogeneous ideal."""
+    """Quotient of a standard graded polynomial ring by a homogeneous ideal.
+    I, its ideals (polys) + I and its dimension are read off S/I."""
 
     def __init__(self, ring: PolyRing, ideal_gens=()):
         self.ring = ring
@@ -57,33 +60,25 @@ class GradedAlgebra(_Memoized):
         self._cache = {}
 
     def defining_basis(self) -> SubmoduleBasis:
-        def build():
-            F = FreeModule(self.ring, (0,))
-            return groebner_basis(F, [poly_in_position(F, f, 0)
-                                      for f in self.ideal_gens])
-        return self._memo("defining", build)
+        return self.cyclic_module().relations
 
     def ideal_basis(self, polys, times_m: bool = False) -> SubmoduleBasis:
         """Basis of the ideal (polys) + I of the polynomial ring, or of
-        m·(polys) + I when times_m, memoized under the nonzero polys."""
+        m·(polys) + I when times_m: a power_submodule level of S/I."""
         polys = [f for f in polys if f]
-
-        def build():
-            F = FreeModule(self.ring, (0,))
-            gens = ([v * f for v in self.variables() for f in polys]
-                    if times_m else polys)
-            return groebner_basis(F, [poly_in_position(F, f, 0)
-                                      for f in gens + list(self.ideal_gens)])
-        return self._memo(("ideal", frozenset(polys), times_m), build)
+        if times_m:
+            polys = [v * f for v in self.variables() for f in polys]
+        return self.cyclic_module().power_submodule(polys)
 
     def dimension(self):
-        return self._memo("dim", lambda: quotient_dimension(self.defining_basis()))
+        return self.cyclic_module().dimension()
 
     def variables(self):
         return [self.ring.variable(i) for i in range(self.ring.nvars)]
 
     def cyclic_module(self, twist: int = 0) -> "GradedModule":
-        return GradedModule(self, (twist,), [])
+        return self._memo(("cyclic", twist),
+                          lambda: GradedModule(self, (twist,), []))
 
     def __repr__(self):
         return (f"GradedAlgebra({','.join(self.ring.variables)} mod "
@@ -258,12 +253,14 @@ class GradedModule(_Memoized):
         """M / (polys)M on the same ambient, memoized like power_submodule:
         the same ideal gives back the same module, with its caches."""
         polys = [f for f in _as_poly_list(polys) if f]
-        return self._memo(("quotient", frozenset(polys)), lambda: GradedModule(
-            self.algebra, self.twists, self.power_submodule(polys),
-            relations_complete=True))
+        return self._memo(("quotient", frozenset(polys)), lambda:
+                          self.quotient_by_submodule(self.power_submodule(polys)))
 
     def quotient_by_submodule(self, sub: SubmoduleBasis) -> "GradedModule":
-        """F/sub for a submodule that contains the relations."""
+        """F/sub for a submodule that contains the relations; M itself,
+        with its caches, when sub is N (M/H⁰(M) when H⁰(M) = 0, say)."""
+        if sub == self.relations:
+            return self
         return GradedModule(self.algebra, self.twists, sub,
                             relations_complete=True)
 

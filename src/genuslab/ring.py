@@ -386,8 +386,7 @@ class FreeModule(Record):
         pos, e = t
         b = self.tangent_block
         if b:
-            d = self.tangent_weight
-            w = sum(e[:b]) if d == 1 else d * sum(e[:b - 1]) + e[b - 1]
+            w = self.tangent_weight * sum(e[:b - 1]) + e[b - 1]
             return (sum(e) + self.twists[pos], -w, sum(e),
                     tuple(-x for x in reversed(e)), -pos)
         block = 1 if pos < self.elim_rank else 0

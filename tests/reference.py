@@ -29,12 +29,17 @@ the parser did before one regular expression tokenized it.
 coordinates in polynomial arithmetic, rebuilding the variable images and
 their powers on every call, as the graded table route did before one
 `modules.LinearChange` per Q kept the image of each monomial.
+`reference_initial_module` takes the lowest-weight forms of the table
+engine's tangent-cone basis into a plain ambient and runs Buchberger on
+them again, with the Hilbert-series check, as `_initial_module` did before
+it kept the forms, in the engine's own ambient, as the reduced basis.
 """
 from genuslab import oracle
 from genuslab.errors import CrossCheckFailure, ParseError
-from genuslab.groebner import SubmoduleBasis, groebner_basis, kernel_of_map
+from genuslab.groebner import (SubmoduleBasis, groebner_basis, hilbert_series,
+                               kernel_of_map)
 from genuslab.homology import _transpose, free_resolution
-from genuslab.invariants import hdeg, torsion
+from genuslab.invariants import _engine, hdeg, torsion
 from genuslab.modules import GradedModule, present_subquotient, zero_module
 from genuslab.ring import (FreeElement, FreeModule, Polynomial,
                            poly_in_position, poly_times_element)
@@ -315,3 +320,22 @@ def substitute_element(v: FreeElement, t_matrix) -> FreeElement:
         for e, c in f.terms.items():
             terms[(pos, e)] = c
     return FreeElement(ambient, terms)
+
+
+def reference_initial_module(module, gens) -> SubmoduleBasis:
+    """N*_W with gr_W(M) = F/N*_W, in a plain ambient: a fresh reduced basis
+    of the lowest-weight forms of the table engine's basis."""
+    eng = _engine(module, gens)
+    F = FreeModule(module.algebra.ring, module.twists)
+    forms = []
+    for g in eng.basis_t.gb:
+        weights = {t: eng.coords.block_weight(t[1]) for t in g.terms}
+        low = min(weights.values())
+        forms.append(FreeElement(
+            F, {t: c for t, c in g.terms.items() if weights[t] == low},
+            _checked=True))
+    initial = groebner_basis(F, forms)
+    if hilbert_series(initial) != hilbert_series(module.relations):
+        raise CrossCheckFailure(
+            "the associated graded module changed the Hilbert series")
+    return initial

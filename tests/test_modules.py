@@ -10,7 +10,7 @@ from genuslab.errors import (DependentRows, EngineError, IncompleteBasis,
                              InfiniteLength, NonStandardGrading, NotLinearForm,
                              PreconditionViolation, RaggedMatrix,
                              SingularMatrix, ZeroModule)
-from genuslab.groebner import (NEG_INF, groebner_basis,
+from genuslab.groebner import (NEG_INF, groebner_basis, quotient_dimension,
                                quotient_hilbert_function)
 from genuslab.homology import dual_sections
 from genuslab.invariants import _engine
@@ -305,6 +305,27 @@ def test_quotient_by_ideal_edges():
     assert M.quotient_by_ideal([]).relations == M.relations
     assert M.quotient_by_ideal([A.ring.constant(1)]).is_zero()
     assert M.quotient_by_ideal([y]).dimension() == 0
+
+
+def test_one_object_per_presentation():
+    # a quotient by the relations themselves is the module, and the
+    # algebra's ideals and dimension are read off its one rank-one module
+    A, (x, y) = algebra("xy", [lambda x, y: x * x])
+    M = A.cyclic_module()
+    assert A.cyclic_module() is M
+    assert A.cyclic_module(1) is A.cyclic_module(1)
+    assert A.cyclic_module(1) is not M
+    assert M.quotient_by_submodule(M.relations) is M
+    assert M.quotient_by_ideal([]) is M
+    assert M.quotient_by_ideal([x * x]) is M
+    assert M.quotient_by_ideal([y]) is not M
+    q = [x, y * y]
+    assert A.ideal_basis(q) is M.power_submodule(q)
+    assert A.defining_basis() is M.relations
+    assert A.dimension() == quotient_dimension(A.defining_basis()) == 1
+    module, _ = random_instance(7)
+    assert module.h0_submodule() == module.relations
+    assert module.quotient_by_submodule(module.h0_submodule()) is module
 
 
 def test_minimal_generator_count():
