@@ -10,9 +10,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 
-from . import groebner, invariants
 from .corpus import (InstanceDescriptor, build_example42, build_example44,
                      build_prop41_instance, default_grid, example42_descriptor,
                      example44_descriptor, idealization_descriptor,
@@ -20,13 +18,14 @@ from .corpus import (InstanceDescriptor, build_example42, build_example44,
 from .dsl import (CORPUS_FAMILIES, CheckCmd, ComputeCmd, CorpusCmd, Session,
                   corpus_parameter_problem, parse_session)
 from .errors import EngineError, HomogeneityViolation, ParseError
+from .groebner import engine_run
 from .invariants import (check_prop38, check_theorem34, covolume,
                          hilbert_samuel_table, inequality_suite,
                          invariant_report, multiplicity)
 from .report import (SCHEMA_VERSION, report_failed, serialize_checklist,
                      serialize_equivalence, serialize_invariants,
                      serialize_prop38, to_csv, to_json)
-from .ring import DEFAULT_PRIME
+from .ring import DEFAULT_PRIME, Record
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,32 +33,13 @@ EXIT_USAGE = 2
 EXIT_ENGINE = 3
 
 
-class RunFlags:
-    def __init__(self, seed: int = 0, max_n: int = None, fmt: str = "json",
-                 budget: int = 24, verify_gb: bool = False,
-                 no_timings: bool = False):
-        self.seed = seed
-        self.max_n = max_n
-        self.fmt = fmt
-        self.budget = budget
-        self.verify_gb = verify_gb
-        self.no_timings = no_timings
-
-
-@contextmanager
-def _engine_flags(flags: RunFlags):
-    """Scope the table cap and the basis re-verification toggle to one run."""
-    old_cap = invariants.TABLE_CAP
-    old_debug = groebner.debug_verification_enabled()
-    if flags.max_n is not None:
-        invariants.TABLE_CAP = flags.max_n
-    if flags.verify_gb:
-        groebner.set_debug_verification(True)
-    try:
-        yield
-    finally:
-        invariants.TABLE_CAP = old_cap
-        groebner.set_debug_verification(old_debug)
+class RunFlags(Record):
+    seed: int = 0
+    max_n: int = None
+    fmt: str = "json"
+    budget: int = 24
+    verify_gb: bool = False
+    no_timings: bool = False
 
 
 # ----------------------------------------------------------- batteries
@@ -155,11 +135,10 @@ def run_corpus_instance(desc: InstanceDescriptor, flags: RunFlags) -> dict:
     return out
 
 
-def corpus_run(grid, flags: RunFlags = None) -> dict:
+def corpus_run(grid, flags: RunFlags = RunFlags()) -> dict:
     """Run every descriptor, merge deterministically by instance id.  An
     empty grid yields an empty aggregate."""
-    flags = flags or RunFlags()
-    with _engine_flags(flags):
+    with engine_run(verify=flags.verify_gb, table_cap=flags.max_n):
         instances = [run_corpus_instance(d, flags) for d in grid]
     instances.sort(key=lambda r: r["instance"])
     failed = [r["instance"] for r in instances if r["status"] == "fail"]
@@ -242,11 +221,10 @@ def _execute(session: Session, cmd, index: int, flags: RunFlags) -> dict:
     return out
 
 
-def run(session: Session, flags: RunFlags = None) -> tuple:
+def run(session: Session, flags: RunFlags = RunFlags()) -> tuple:
     """Execute every command of a parsed session.  Returns the aggregate
     report and the exit code; errors are captured per command."""
-    flags = flags or RunFlags()
-    with _engine_flags(flags):
+    with engine_run(verify=flags.verify_gb, table_cap=flags.max_n):
         reports = [_execute(session, cmd, i, flags)
                    for i, cmd in enumerate(session.commands)]
     aggregate = {

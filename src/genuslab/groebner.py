@@ -31,9 +31,9 @@ interreduced.  The reduced basis is unique, so this is the kernel's reduced
 basis, the same as the tracking part of the whole module's reduced basis.
 A submodule is carried as its reduced basis alone (SubmoduleBasis), so
 syzygies takes the generators it relates as an argument.
-Under debug verification the whole run is re-checked, not only the kernel:
-a wrongly skipped pair can lose a kernel element and still leave the rest a
-Groebner basis.
+Under debug verification, a setting of the engine_run in force, the whole
+Buchberger run is re-checked, not only the kernel: a wrongly skipped pair
+can lose a kernel element and still leave the rest a Groebner basis.
 
 Standard monomials are counted, never listed, through the Hilbert numerator
 of the lead monomials.  Hilbert function values and the graded route's
@@ -45,13 +45,15 @@ Cohen-Macaulay Rings, 4.1).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .errors import (CrossCheckFailure, HomogeneityViolation, InfiniteLength,
                      PreconditionViolation)
-from .ring import (FreeElement, FreeModule, binomial, mono_deg, mono_div,
-                   mono_divides, mono_lcm)
+from .ring import (FreeElement, FreeModule, Record, binomial, mono_deg,
+                   mono_div, mono_divides, mono_lcm)
 
 NEG_INF = float("-inf")
 
@@ -59,18 +61,36 @@ FIELD = 16                                # bits in one field of a packed term
 FIELD_MASK = (1 << FIELD) - 1
 EXP_LIMIT = (1 << (FIELD - 1)) - 1        # largest monomial degree in a run
 
-_DEBUG_VERIFY = False
+TABLE_CAP = 64                            # default last length-table row
 
 
-def set_debug_verification(flag: bool) -> None:
-    """When on, every completed basis re-checks that all S-pairs reduce to
-    zero, with no pair filters.  Slow; meant for tests and --verify-gb."""
-    global _DEBUG_VERIFY
-    _DEBUG_VERIFY = bool(flag)
+class EngineRun(Record):
+    """The settings of one run and the Hilbert numerators its calls share."""
+    verify: bool
+    table_cap: int
+    numerators: dict
+
+
+_RUN = ContextVar("engine_run", default=EngineRun(False, TABLE_CAP, None))
+
+
+@contextmanager
+def engine_run(verify: bool = False, table_cap: int = None):
+    """The with block's run: verify is --verify-gb, table_cap --max-n."""
+    token = _RUN.set(EngineRun(bool(verify), TABLE_CAP if table_cap is None
+                               else table_cap, {}))
+    try:
+        yield _RUN.get()
+    finally:
+        _RUN.reset(token)
+
+
+def current_run() -> EngineRun:
+    return _RUN.get()
 
 
 def debug_verification_enabled() -> bool:
-    return _DEBUG_VERIFY
+    return _RUN.get().verify
 
 
 class Packing:
@@ -494,7 +514,7 @@ def groebner_basis(ambient: FreeModule, gens, *,
     state = BuchbergerState(ambient, gens, assume_reduced_prefix)
     state.process()
     basis = SubmoduleBasis(ambient, state.reduced_basis())
-    if _DEBUG_VERIFY:
+    if debug_verification_enabled():
         verify_basis(basis)
     return basis
 
@@ -559,7 +579,7 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
         if rel:
             state._add(state._pack(rel))
     state.process()
-    if _DEBUG_VERIFY:
+    if debug_verification_enabled():
         # the whole big-module basis: a wrongly skipped pair may lose a
         # kernel element without leaving the kernel part non-Groebner
         verify_basis(SubmoduleBasis(big, state.basis))
@@ -571,7 +591,7 @@ def kernel_of_map(cols, col_twists, target: FreeModule,
     small = FreeModule(ring, tuple(col_twists))
     kernel = state.reduced_basis(small, below=state.pk.block)
     out = SubmoduleBasis(small, kernel)
-    if _DEBUG_VERIFY:
+    if debug_verification_enabled():
         verify_basis(out)
     return out
 
@@ -598,10 +618,7 @@ def _minimal_leads(leads):
     return tuple(out)
 
 
-_NUMERATOR_CACHE = {}
-
-
-def _hilbert_numerator(leads, n: int, weights: tuple = None) -> dict:
+def _hilbert_numerator(leads, n: int, weights=None, _memo=None) -> dict:
     """Numerator of the degreewise-size series of S/(leads) over (1-t)^n,
     as a sparse {degree: coefficient} dict; with weights, x_i has degree
     weights[i] and the series is over the product of the (1-t^weights[i]).
@@ -609,11 +626,14 @@ def _hilbert_numerator(leads, n: int, weights: tuple = None) -> dict:
     Recursion on a pivot variable: quotienting by the pivot and coloning out
     the pivot split the count exactly, and once every variable touches at
     most one generator the generators are pairwise coprime and the numerator
-    is a plain product.
-    """
+    is a plain product.  The memo is the run's (engine_run), taken once per
+    top-level call and passed down; outside every run a fresh one per call."""
+    if _memo is None:
+        _memo = _RUN.get().numerators
+        _memo = {} if _memo is None else _memo
     leads = _minimal_leads(leads)
     key = (n, leads, weights)
-    got = _NUMERATOR_CACHE.get(key)
+    got = _memo.get(key)
     if got is not None:
         return got
     if any(mono_deg(e) == 0 for e in leads):
@@ -641,14 +661,15 @@ def _hilbert_numerator(leads, n: int, weights: tuple = None) -> dict:
             quo = [tuple(a - 1 if i == pivot and a else a
                          for i, a in enumerate(e)) for e in leads]
             step = 1 if weights is None else weights[pivot]
-            out = dict(_hilbert_numerator(tuple(plus), n, weights))
-            for j, c in _hilbert_numerator(tuple(quo), n, weights).items():
+            out = dict(_hilbert_numerator(tuple(plus), n, weights, _memo))
+            for j, c in _hilbert_numerator(tuple(quo), n, weights,
+                                           _memo).items():
                 v = out.get(j + step, 0) + c
                 if v:
                     out[j + step] = v
                 else:
                     out.pop(j + step, None)
-    _NUMERATOR_CACHE[key] = out
+    _memo[key] = out
     return out
 
 

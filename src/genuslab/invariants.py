@@ -56,7 +56,7 @@ from .errors import (CrossCheckFailure, EquivalenceViolation, IndexOutOfRange,
                      NotGeneralizedCM, PreconditionViolation, SingularMatrix,
                      ZeroModule)
 from .groebner import (NEG_INF, SubmoduleBasis, _hilbert_numerator,
-                       combine_series, debug_verification_enabled,
+                       combine_series, current_run, debug_verification_enabled,
                        groebner_basis, hilbert_series, quotient_total_length,
                        series_dimension, series_length, verify_basis)
 from .homology import dual_sections, ext_module, koszul_homology_lengths
@@ -68,8 +68,6 @@ from .modules import (GradedAlgebra, GradedModule, LinearChange,
                       submodule_intersect)
 from .ring import (FreeElement, FreeModule, Polynomial, Record, binomial,
                    poly_in_position, poly_times_element)
-
-TABLE_CAP = 64
 
 
 def _gens_for(q):
@@ -333,6 +331,7 @@ def hilbert_coefficients(table: LengthTable, s: int) -> HilbertCoefficients:
     Accepts only when the polynomial through the s + 1 entries from top - s
     - 2 on reproduces all later ones; else doubles the table, up to a cap.
     """
+    cap = current_run().table_cap
     while True:
         top = table.top
         if top >= s + 2:
@@ -345,19 +344,21 @@ def hilbert_coefficients(table: LengthTable, s: int) -> HilbertCoefficients:
                 post = next(n0 for n0 in range(top - s - 1)
                             if all(on[n0:n0 + s + 3]))
                 return HilbertCoefficients(fit.e, post, s)
-        if top >= TABLE_CAP:
+        if top >= cap:
             raise NoStabilization(
                 f"no stable coefficients with {top + 1} table entries")
-        table = table.extended(min(max(2 * top, s + 4), TABLE_CAP))
+        table = table.extended(min(max(2 * top, s + 4), cap))
 
 
 def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
     """Exact on the graded route, where NoStabilization keeps the fit's cap:
-    postulation + d + 2 > TABLE_CAP (--max-n).  The fit runs on the direct
-    route, and under --verify-gb on both, where the two must agree."""
+    postulation + d + 2 > the run's table_cap (--max-n).  The fit runs on the
+    direct route, and under --verify-gb on both, where the two must agree.
+    Memoized on the module, so a later run reads what the first one built."""
     gens = _gens_for(q)
 
     def build():
+        cap = current_run().table_cap
         s = module.dimension()
         if s == NEG_INF:
             raise ZeroModule("the zero module has no Hilbert coefficients")
@@ -369,11 +370,11 @@ def module_coefficients(module: GradedModule, q) -> HilbertCoefficients:
             if coeffs.dimension != s:
                 raise CrossCheckFailure(f"length series of dimension "
                                         f"{coeffs.dimension}, not {s}")
-            if coeffs.postulation + s + 2 > TABLE_CAP:
+            if coeffs.postulation + s + 2 > cap:
                 raise NoStabilization(f"no stable coefficients with "
-                                      f"{TABLE_CAP + 1} table entries")
+                                      f"{cap + 1} table entries")
         if coeffs is None or debug_verification_enabled():
-            table = hilbert_samuel_table(module, gens, min(s + 4, TABLE_CAP))
+            table = hilbert_samuel_table(module, gens, min(s + 4, cap))
             fit = hilbert_coefficients(table, s)
             if coeffs is not None and fit != coeffs:
                 raise CrossCheckFailure(
@@ -535,7 +536,7 @@ def finite_length_twin(module: GradedModule, gens, kind: str) -> tuple:
     (d-1)·hdeg(D_1(QM)) + Σ_(j>=2) C(d-1, j)·hdeg(D_j(M)), where
     hdeg(D_1(QM)) is E_(n-1)(QM) at t = 1 unless that has positive
     dimension, and only then is D_1(QM) presented off L's resolution.  Under
-    --verify-gb L is resolved and dualized too, and must agree."""
+    --verify-gb an L ≠ M is resolved and dualized too, and must agree."""
     n, d = module.algebra.ring.nvars, int(module.dimension())
     verify = debug_verification_enabled()
     twin = lambda: module._memo((kind, frozenset(gens)), lambda: (
@@ -564,7 +565,7 @@ def finite_length_twin(module: GradedModule, gens, kind: str) -> tuple:
             h += (d - 1) * (len1 if dim1 <= 0
                             else hdeg(ext_module(twin(), n - 1), gens))
         got = (h, None)
-    if verify:
+    if verify and twin() is not module:  # M/H⁰(M) is M when H⁰(M) = 0
         predicted.update({j: ext(module, j) for j in shared})
         bad = [j for j in sorted(predicted) if ext(twin(), j) != predicted[j]]
         want = (hdeg(twin(), gens),
@@ -615,7 +616,7 @@ def _annihilator(a, module: GradedModule):
     """(d, e) for (0 :_M a) = (N : a)/N: its Krull dimension and the
     multiplicity of its Hilbert series, the length when d <= 0, read off
     colon_quotient_series with the module's memoized basis of N + aF.
-    Memoized on the module per element and --verify-gb state."""
+    Memoized per element and --verify-gb state: a module can outlive a run."""
     return module._memo(
         ("annihilator", a, debug_verification_enabled()),
         lambda: series_dimension(colon_quotient_series(
@@ -751,8 +752,8 @@ def _superficial_status(a, module: GradedModule, gens):
     Q whose form is a zero-divisor, and every Q off the graded route.
     Memoized on the module per element and set of generators, since the
     d-sequence search asks again for the candidates of every attempt, and
-    per --verify-gb state, so that a verdict reached unchecked is never
-    handed out as a checked one."""
+    per the run's --verify-gb state, so that a verdict reached unchecked is
+    never handed out as a checked one by a later run on the same module."""
     def build():
         try:
             coords = _engine(module, gens).coords

@@ -111,10 +111,11 @@ def test_max_n_surfaces_no_stabilization(capsys):
     assert first["command_index"] == 0
 
 
-@pytest.mark.parametrize("max_n, code", [(4, EXIT_ENGINE), (5, EXIT_OK)])
+@pytest.mark.parametrize("max_n, code", [(0, EXIT_ENGINE), (4, EXIT_ENGINE),
+                                         (5, EXIT_OK)])
 def test_max_n_caps_the_rows_the_coefficients_need(capsys, max_n, code):
     # product_quadrics: d = 3 and postulation 0, so the fit needs the rows
-    # 0..5; the exact route keeps that cap
+    # 0..5; the exact route keeps that cap, and a cap of 0 stays 0
     got, agg, _ = run_json(capsys, [
         "run", str(SESSIONS / "product_quadrics.ses"),
         "--max-n", str(max_n), "--no-timings"])

@@ -10,11 +10,11 @@ from genuslab.errors import (CrossCheckFailure, InfiniteLength,
                              PreconditionViolation)
 from genuslab.groebner import (BuchbergerState, EXP_LIMIT, NEG_INF, Packing,
                                SubmoduleBasis, _hilbert_numerator,
-                               count_standard_monomials, groebner_basis,
-                               hilbert_series, kernel_of_map,
+                               count_standard_monomials, engine_run,
+                               groebner_basis, hilbert_series, kernel_of_map,
                                quotient_dimension, quotient_hilbert_function,
                                quotient_total_length, series_dimension,
-                               set_debug_verification, syzygies, verify_basis)
+                               syzygies, verify_basis)
 from genuslab.modules import GradedAlgebra
 from genuslab.ring import (FreeElement, FreeModule, PolyRing, mono_divides,
                            mono_lcm, poly_in_position, poly_times_element)
@@ -333,13 +333,10 @@ def test_verify_rejects_non_basis():
 
 
 def test_debug_verification_flag():
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         R = ring2()
         x, y = R.variable(0), R.variable(1)
         ideal_basis(R, [x * x - y * y, x * y])
-    finally:
-        set_debug_verification(False)
 
 
 def test_zero_and_full_cases():
@@ -461,12 +458,9 @@ def test_verification_covers_the_kernel_run(monkeypatch):
     monkeypatch.setattr(BuchbergerState, "_chain_skip",
                         lambda self, i, j, lcm: True)
     assert not kernel_of_map(cols, [1, 1], F).gb
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure):
             kernel_of_map(cols, [1, 1], F)
-    finally:
-        set_debug_verification(False)
 
 
 _R3 = PolyRing(("x", "y", "z"), 32003)

@@ -6,8 +6,8 @@ import pytest
 from genuslab import groebner, homology, modules, oracle
 from genuslab.corpus import build_example42, build_example44, random_instance
 from genuslab.errors import CrossCheckFailure, ZeroModule
-from genuslab.groebner import (SubmoduleBasis, groebner_basis, kernel_of_map,
-                               syzygies)
+from genuslab.groebner import (SubmoduleBasis, engine_run, groebner_basis,
+                               kernel_of_map, syzygies)
 from genuslab.homology import (FreeComplex, depth, dual_sections,
                                ext_module, free_resolution, koszul_complex,
                                koszul_homology_lengths, minimal_generators,
@@ -327,13 +327,13 @@ def test_example44_41_betti_numbers():
 def test_minimal_generators_cross_check_under_verify_gb(monkeypatch):
     basis = _unequal_twist_relations()
     want = minimal_generators(basis)
-    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
-    assert groebner.debug_verification_enabled()
-    assert minimal_generators(basis) == want
-    # picks that do not regenerate the submodule trip the cross-check
-    monkeypatch.setattr(modules, "BuchbergerState", _NoPicks)
-    with pytest.raises(CrossCheckFailure):
-        minimal_generators(basis)
+    with engine_run(verify=True):
+        assert groebner.debug_verification_enabled()
+        assert minimal_generators(basis) == want
+        # picks that do not regenerate the submodule trip the cross-check
+        monkeypatch.setattr(modules, "BuchbergerState", _NoPicks)
+        with pytest.raises(CrossCheckFailure):
+            minimal_generators(basis)
 
 
 class _NoPicks(groebner.BuchbergerState):
@@ -360,12 +360,12 @@ def test_presentations_cross_check_under_verify_gb(monkeypatch, present,
         run = lambda: minimal_presentation(module)
         assert not run().is_zero()
     monkeypatch.setattr(modules, "BuchbergerState", _NoPicks)
-    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", verify)
-    if verify:
-        with pytest.raises(CrossCheckFailure, match="regenerate"):
-            run()
-    else:
-        assert run().is_zero()
+    with engine_run(verify=verify):
+        if verify:
+            with pytest.raises(CrossCheckFailure, match="regenerate"):
+                run()
+        else:
+            assert run().is_zero()
 
 
 # -- exactness -----------------------------------------------------------------
@@ -520,9 +520,9 @@ def test_h0_series_test_cross_check_under_verify_gb(monkeypatch):
     A, _ = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
     monkeypatch.setattr(modules, "colon_series",
                         lambda n, f: groebner.hilbert_series(n))
-    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
-    with pytest.raises(CrossCheckFailure, match="h0_submodule"):
-        A.cyclic_module().h0_submodule()
+    with engine_run(verify=True):
+        with pytest.raises(CrossCheckFailure, match="h0_submodule"):
+            A.cyclic_module().h0_submodule()
 
 
 # -- ext ----------------------------------------------------------------------
@@ -634,16 +634,13 @@ def test_koszul_spot_zero_is_the_modules_power_submodule(monkeypatch):
     A, (x, y) = algebra("xy", [lambda x, y: x * x, lambda x, y: x * y])
     M = A.cyclic_module()
     seq = ParameterSequence(M, [y])
-    groebner.set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         assert koszul_homology_lengths(seq) == [2, 1]
         monkeypatch.setattr(M, "power_submodule",
                             lambda polys, k=1: M.submodule_with(
                                 M.ideal_multiples([y * y])))
         with pytest.raises(CrossCheckFailure, match="B_0"):
             koszul_homology_lengths(seq)
-    finally:
-        groebner.set_debug_verification(False)
 
 
 def test_koszul_homology_empty_sequence_is_the_module():
@@ -720,6 +717,6 @@ def test_verify_gb_catches_a_wrong_koszul_series(monkeypatch):
     monkeypatch.setattr(homology, "series_length",
                         lambda num, n: series_length(num, n) + 1)
     assert koszul_homology_lengths(seq) == [3, 2]
-    monkeypatch.setattr(groebner, "_DEBUG_VERIFY", True)
-    with pytest.raises(CrossCheckFailure, match="koszul_homology_lengths"):
-        koszul_homology_lengths(seq)
+    with engine_run(verify=True):
+        with pytest.raises(CrossCheckFailure, match="koszul_homology_lengths"):
+            koszul_homology_lengths(seq)

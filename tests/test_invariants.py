@@ -13,8 +13,8 @@ from genuslab.errors import (CrossCheckFailure, IndexOutOfRange,
                              InfiniteLength, NoStabilization,
                              NotFoundWithinBudget, NotGeneralizedCM,
                              PreconditionViolation)
-from genuslab.groebner import (NEG_INF, SubmoduleBasis, hilbert_series,
-                               quotient_total_length, set_debug_verification)
+from genuslab.groebner import (NEG_INF, SubmoduleBasis, engine_run,
+                               hilbert_series, quotient_total_length)
 from genuslab.homology import dual_sections, ext_module
 from genuslab.invariants import (LengthTable, _TableEngine, _annihilator,
                                  _engine, _graded_superficial,
@@ -260,12 +260,9 @@ def test_verify_gb_maps_every_moved_element_back(gens):
     change = invariants.graded_coordinates(M.algebra, gens).change
     x2 = (2, 0, 0)
     change._images[x2] = {e: 2 * c for e, c in change.image(x2).items()}
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="coordinate change"):
             hilbert_samuel_table(M, gens, 2)
-    finally:
-        set_debug_verification(False)
 
 
 def test_one_coordinate_change_serves_m_m_over_am_and_m_over_h0(
@@ -303,14 +300,11 @@ def test_one_coordinate_change_serves_m_m_over_am_and_m_over_h0(
 def test_power_route_cross_checks_row_one_under_verify_gb(
         line_with_spike, monkeypatch):
     M, x, y = line_with_spike
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         assert _TableEngine(M, (y * y,)).values_up_to(2) == [3, 5, 7]
         monkeypatch.setattr(_TableEngine, "_direct_value", lambda self, n: 0)
         with pytest.raises(CrossCheckFailure, match="n = 1"):
             _TableEngine(M, (y * y,)).values_up_to(1)
-    finally:
-        set_debug_verification(False)
 
 
 # -- coefficients -------------------------------------------------------------
@@ -363,12 +357,9 @@ def test_verify_gb_fits_the_table_against_the_exact_coefficients(
 
     monkeypatch.setattr(invariants, "hilbert_coefficients", shifted)
     assert module_coefficients(A.cyclic_module(), (y,)).e == (1, -1)
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="windowed fit"):
             module_coefficients(GradedModule(A, (0,), []), (y,))
-    finally:
-        set_debug_verification(False)
 
 
 def test_exact_route_checks_row_zero_and_the_dimension(monkeypatch):
@@ -491,12 +482,9 @@ def test_wrong_series_multiplicity_is_caught(monkeypatch):
     with pytest.raises(CrossCheckFailure):
         module_coefficients(module, seq.gens)
     assert multiplicity(module, seq.gens) == _table_e0(module, seq.gens) + 1
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure):
             multiplicity(module, seq.gens)
-    finally:
-        set_debug_verification(False)
 
 
 # -- chi and the two routes ---------------------------------------------------
@@ -585,11 +573,8 @@ def test_superficial_element_in_q_plus_i():
     A, (x, y) = algebra("xy", [lambda x, y: x - y])
     rep = is_superficial(y, A.cyclic_module(), (x,))
     assert rep.status == "verified"
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         assert is_superficial(y, A.cyclic_module(), (x,)).status == "verified"
-    finally:
-        set_debug_verification(False)
 
 
 def test_superficial_refuted():
@@ -662,12 +647,9 @@ def test_verify_gb_cross_checks_the_window(monkeypatch):
     monkeypatch.setattr(invariants, "_windowed_superficial",
                         lambda *args, **kw: ("verified", 1))
     assert is_superficial(x, M, (x, y)).status == "refuted"
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure):
             is_superficial(x, M, (x, y))
-    finally:
-        set_debug_verification(False)
 
 
 def test_nonlinear_ideal_keeps_the_window(line_with_spike):
@@ -757,12 +739,9 @@ def test_verify_gb_cross_checks_the_weighted_test(monkeypatch, line_with_spike):
     monkeypatch.setattr(invariants, "_windowed_superficial",
                         lambda *args, **kw: ("refuted", None))
     assert is_superficial(y * y, M, (y * y,)).status == "verified"
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure):
             is_superficial(y * y, M, (y * y,))
-    finally:
-        set_debug_verification(False)
 
 
 def _presented_annihilator(a, module):
@@ -821,12 +800,9 @@ def test_verify_gb_catches_a_wrong_window_series(monkeypatch):
     assert _windowed_superficial(x, M, (x, y))[0] == "inconclusive"
     monkeypatch.setattr(invariants, "combine_series", lambda *parts: {})
     assert _windowed_superficial(x, M, (x, y)) == ("verified", 1)
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="_windowed_superficial"):
             _windowed_superficial(x, M, (x, y))
-    finally:
-        set_debug_verification(False)
 
 
 # -- annihilators -------------------------------------------------------------
@@ -872,12 +848,9 @@ def test_verify_gb_catches_a_wrong_annihilator_series(monkeypatch):
                         lambda n, f, extended=None: hilbert_series(n))
     fresh = GradedModule(A, (0,), [])
     assert _annihilator(y, fresh) == (NEG_INF, 0)
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="colon_quotient_series"):
             _annihilator(y, fresh)
-    finally:
-        set_debug_verification(False)
 
 
 @pytest.mark.parametrize("site", [
@@ -893,12 +866,9 @@ def test_verify_gb_catches_a_wrong_colon_quotient_series(monkeypatch, site):
     monkeypatch.setattr(modules, "colon_series",
                         lambda n, f, extended=None: hilbert_series(n))
     site(A.cyclic_module(), y)
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="colon_quotient_series"):
             site(A.cyclic_module(), y)
-    finally:
-        set_debug_verification(False)
 
 
 def test_verify_gb_catches_a_wrong_annihilation_test(monkeypatch):
@@ -910,12 +880,9 @@ def test_verify_gb_catches_a_wrong_annihilation_test(monkeypatch):
     monkeypatch.setattr(SubmoduleBasis, "contains_all",
                         lambda self, others: True)
     assert _not_annihilating([x * x, y], M) == []
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="_not_annihilating"):
             _not_annihilating([x * x, y], M)
-    finally:
-        set_debug_verification(False)
 
 
 # -- d-sequences --------------------------------------------------------------
@@ -1016,11 +983,8 @@ def test_d_sequence_witness_needs_one_colon(monkeypatch):
         failing += 1
         assert (rep.holds, rep.violation, rep.witness) \
             == _colon_d_sequence(cand), seed
-        set_debug_verification(True)
-        try:
+        with engine_run(verify=True):
             assert is_d_sequence(cand) == rep
-        finally:
-            set_debug_verification(False)
     assert failing >= 10
 
 
@@ -1032,12 +996,9 @@ def test_verify_gb_catches_a_wrong_d_sequence_series(monkeypatch):
     monkeypatch.setattr(invariants, "colon_series",
                         lambda n, f, within=None, extended=None: {0: 1})
     assert is_d_sequence(seq).holds
-    set_debug_verification(True)
-    try:
+    with engine_run(verify=True):
         with pytest.raises(CrossCheckFailure, match="is_d_sequence"):
             is_d_sequence(seq)
-    finally:
-        set_debug_verification(False)
 
 
 # -- checkers -----------------------------------------------------------------
@@ -1236,15 +1197,29 @@ def test_verify_gb_catches_a_wrong_multiples_dual(monkeypatch, fault,
     # a plain run cannot tell; under --verify-gb QM is resolved too
     module, seq = random_instance(0)
     fault(monkeypatch)
-    set_debug_verification(verify)
-    try:
+    with engine_run(verify=verify):
         if verify:
             with pytest.raises(CrossCheckFailure, match="finite_length_twin"):
                 invariants.finite_length_twin(module, seq.gens, "QM")
         else:
             invariants.finite_length_twin(module, seq.gens, "QM")
-    finally:
-        set_debug_verification(False)
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify-gb"])
+def test_verify_gb_catches_a_wrong_sections_quotient_torsion(monkeypatch,
+                                                             verify):
+    # H⁰(M) ≠ 0, so M/H⁰(M) is a module of its own: a first torsion of M one
+    # too large passes a plain run; under --verify-gb M/H⁰(M) is resolved too
+    module, seq = _plane_with_embedded_point()
+    real = invariants.torsion
+    monkeypatch.setattr(invariants, "torsion", lambda m, q, i: real(m, q, i)
+                        + (1 if m is module else 0))
+    with engine_run(verify=verify):
+        if verify:
+            with pytest.raises(CrossCheckFailure, match="M/H0"):
+                invariants.finite_length_twin(module, seq.gens, "M/H0")
+        else:
+            invariants.finite_length_twin(module, seq.gens, "M/H0")
 
 
 # -- the aggregate ------------------------------------------------------------
